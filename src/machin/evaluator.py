@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from ._bigint import bigint
 from .errors import PrecisionUnachievableError
-from .exactint import decimal_digits
+from .exactint import decimal_digits, to_decimal_string
 
 __all__ = [
     "FixedPoint",
@@ -151,7 +151,7 @@ def compute_pi(formula, digits: int) -> str:
         cell = 10 ** (scale - digits)
         if (value - half_width) // cell == (value + half_width) // cell:
             mantissa = value // cell
-            text = str(mantissa)
+            text = to_decimal_string(mantissa)
             if len(text) != digits + 1:
                 raise ArithmeticError("internal error: pi mantissa has unexpected width")
             return text[0] + "." + text[1:]

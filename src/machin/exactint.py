@@ -1,14 +1,20 @@
 """Exact unbounded-integer primitives.
 
-Floored, ceiling and nearest-integer division of integer ratios, plus a
+Floored, ceiling and nearest-integer division of integer ratios, a
 base-10 logarithm estimate that stays accurate for integers with millions
-of digits without ever converting the full value to a machine float.
+of digits without ever converting the full value to a machine float, and
+a decimal codec for integers of any size.
+
+The codec is subquadratic without gmpy2 (divide-and-conquer radix
+conversion, Brent & Zimmermann, *Modern Computer Arithmetic*, §1.7) and
+never reads or changes the interpreter's int/str digit limit: the only
+built-in ``str()``/``int()`` conversions it makes are on pieces of at most
+640 digits, the lowest value that limit can take.
 """
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
-from decimal import Decimal, localcontext
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, localcontext
 from functools import lru_cache
 
 from ._bigint import HAVE_GMPY2, bigint
@@ -28,6 +34,13 @@ __all__ = [
 # 56 digits of log10(2); enough that shift * LOG10_2 stays exact far below
 # the final double rounding even for billion-bit inputs.
 _LOG10_2 = Decimal("0.30102999566398119521373889472449302676818988146210854131")
+
+# Largest pieces the codec hands to the built-in str()/int(): 2**2126 < 10**640,
+# and 640 digits is the lowest int/str limit an interpreter accepts.
+_LEAF_BITS = 2126
+_LEAF_DIGITS = 640
+# Integer-valued Decimal arithmetic that is exact at any size (or raises).
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact])
 
 
 @dataclass(frozen=True)
@@ -124,23 +137,76 @@ def exceeds_digits(x, digits: int) -> bool:
     return n >= _pow10(digits)
 
 
+def _powers(base):
+    """base**k on demand, each computed once from a cached neighbour."""
+    cache = {}
+
+    def power(k):
+        p = cache.get(k)
+        if p is None:
+            if k - 1 in cache:
+                p = cache[k - 1] * base
+            elif k <= 64:
+                p = base ** k
+            else:
+                half = power(k >> 1)
+                p = half * half
+                if k & 1:
+                    p *= base
+            cache[k] = p
+        return p
+
+    return power
+
+
 def to_decimal_string(x) -> str:
-    """Decimal form of an integer; safe and fast even at millions of digits."""
+    """Decimal form of an integer, exactly as str() would print it.
+
+    Subquadratic and independent of the int/str digit limit: a large value
+    is split on bits into Decimal pieces, which libmpdec recombines with
+    subquadratic multiplication, and the Decimal is printed.
+    """
     if HAVE_GMPY2:
         return bigint(x).digits(10)
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)
-    return str(int(x))
+    n = int(x)
+    sign = "-" if n < 0 else ""
+    n = abs(n)
+    if n.bit_length() <= _LEAF_BITS:
+        return sign + str(n)
+    pow2 = _powers(Decimal(2))
+
+    def join(n, w):  # Decimal equal to n, where n < 2**w
+        if w <= _LEAF_BITS:
+            return Decimal(n)
+        lo = w >> 1
+        return join(n & ((1 << lo) - 1), lo) + join(n >> lo, w - lo) * pow2(lo)
+
+    with localcontext(_EXACT):
+        return sign + str(join(n, n.bit_length()))
 
 
 def from_decimal_string(s: str) -> int:
-    """Parse a (possibly huge) decimal integer string."""
+    """Parse a decimal integer of any size.
+
+    Accepts digits with an optional sign and surrounding whitespace, and
+    rejects everything else (underscores, points, exponents, prefixes).
+    Subquadratic and independent of the int/str digit limit: a long digit
+    string is split in halves and recombined as hi * 10**k + lo, with
+    10**k = 5**k << k.
+    """
     text = s.strip()
     body = text[1:] if text[:1] in "+-" else text
     if not body.isdigit():
         raise ValueError(f"not a decimal integer: {s!r}")
     if HAVE_GMPY2:
         return int(bigint(text))
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)
-    return int(text)
+    pow5 = _powers(5)
+
+    def split(a, b):  # value of body[a:b]
+        if b - a <= _LEAF_DIGITS:
+            return int(body[a:b])
+        k = (b - a) >> 1
+        return split(b - k, b) + (split(a, b - k) * pow5(k) << k)
+
+    n = split(0, len(body))
+    return -n if text[:1] == "-" else n

@@ -159,28 +159,28 @@ def find_first_term(q0):
 
 
 def _step_signed(A, B, delta):
-    """One signed step; returns (q, term_sign, A', B', delta')."""
+    """One signed step; returns (q, term_sign, A', delta'). B' is q*B + A."""
     q = (2 * B + A) // (2 * A)  # nearest integer to B/A, halves round up
     raw = q * A - B
-    B2 = q * B + A
     if raw < 0:
-        return q, delta, -raw, B2, -delta
-    return q, delta, raw, B2, delta  # raw == 0 keeps delta; the caller stops
+        return q, delta, -raw, -delta
+    return q, delta, raw, delta  # raw == 0 keeps delta; the caller stops
 
 
 def _step_positive(A, B, delta):
-    """One all-positive step; returns (q, term_sign, A', B', delta')."""
+    """One all-positive step; returns (q, term_sign, A', delta'). B' is q*B + A."""
     q = -((-B) // A)  # ceiling of B/A
-    return q, 1, q * A - B, q * B + A, 1
+    return q, 1, q * A - B, 1
 
 
 def next_term_signed(state: RemainderState):
     """Split the nearest-integer term off a remainder; numerator halves."""
     if state.A <= 0:
         raise ValueError("remainder is exhausted (A = 0); generation must stop")
-    q, sign, A2, B2, delta2 = _step_signed(bigint(state.A), bigint(state.B), state.delta)
+    A, B = bigint(state.A), bigint(state.B)
+    q, sign, A2, delta2 = _step_signed(A, B, state.delta)
     term = FormulaTerm(sign=sign, q=int(q))
-    return term, RemainderState(int(A2), int(B2), delta2)
+    return term, RemainderState(int(A2), int(q * B + A), delta2)
 
 
 def next_term_positive(state: RemainderState):
@@ -189,9 +189,10 @@ def next_term_positive(state: RemainderState):
         raise ValueError("remainder is exhausted (A = 0); generation must stop")
     if state.delta != 1:
         raise ValueError("positive mode requires a positive remainder")
-    q, sign, A2, B2, delta2 = _step_positive(bigint(state.A), bigint(state.B), state.delta)
+    A, B = bigint(state.A), bigint(state.B)
+    q, sign, A2, delta2 = _step_positive(A, B, state.delta)
     term = FormulaTerm(sign=sign, q=int(q))
-    return term, RemainderState(int(A2), int(B2), delta2)
+    return term, RemainderState(int(A2), int(q * B + A), delta2)
 
 
 def generate(q0, config: GenerationConfig | None = None) -> MachinFormula:
@@ -222,11 +223,11 @@ def generate(q0, config: GenerationConfig | None = None) -> MachinFormula:
 
     terms = [FormulaTerm(sign=1, q=q0_int, coefficient=m)]
     while True:
-        qn, sign, A2, B2, delta = step(A, B, delta)
+        qn, sign, A2, delta = step(A, B, delta)
         terms.append(FormulaTerm(sign=sign, q=int(qn)))
-        A, B = A2, B2
-        if A == 0:
+        if A2 == 0:  # complete: the last B' = q*B + A is never needed
             return MachinFormula(q0_int, tuple(terms), True, None, cfg.mode)
+        A, B = A2, qn * B + A
         if exceeds_digits(qn, cfg.max_digits):
             if cfg.partial:
                 remainder = RemainderState(int(A), int(B), delta)

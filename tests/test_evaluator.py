@@ -1,3 +1,6 @@
+import json
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -7,6 +10,11 @@ from hypothesis import strategies as st
 from machin.errors import PrecisionUnachievableError
 from machin.evaluator import arctan_recip_fixed, compute_pi, plan_budget
 from machin.generator import GenerationConfig, generate
+
+
+needs_int_str_limit = pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="interpreter has no int/str digit limit"
+)
 
 
 def maclaurin_error_small_enough(q, K, eps2: Fraction) -> bool:
@@ -147,3 +155,23 @@ class TestComputePi:
     def test_rejects_zero_digits(self):
         with pytest.raises(ValueError):
             compute_pi(generate(5), 0)
+
+    @needs_int_str_limit
+    def test_past_int_str_limit_in_fresh_process(self):
+        # the suite lifts the int/str limit in this process; a fresh one has it
+        code = (
+            "import json, sys\n"
+            "from machin import compute_pi, generate\n"
+            "a = compute_pi(generate(5), 4400)\n"
+            "b = compute_pi(generate(10), 4400)\n"
+            "print(json.dumps([a, b, sys.get_int_max_str_digits()]))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-X", "int_max_str_digits=4300", "-c", code],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        a, b, limit = json.loads(proc.stdout)
+        assert a == b
+        assert len(a) == 4402 and a.startswith("3.14159265358979")
+        assert limit == 4300

@@ -1,10 +1,16 @@
+import json
 import math
+import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import machin
 from machin.exactint import (
     Ratio,
     ceil_div,
@@ -19,6 +25,39 @@ from machin.exactint import (
 
 nums = st.integers(min_value=-(10 ** 40), max_value=10 ** 40)
 dens = st.integers(min_value=1, max_value=10 ** 20)
+
+# bit sizes on both sides of the codec's leaves (2126 bits, 640 digits),
+# of 2000/8000 and of the default 4300-digit int/str limit (14284 bits)
+codec_bits = st.one_of(
+    st.integers(min_value=1, max_value=40_000),
+    st.sampled_from([2125, 2126, 2127, 2128, 4252, 4253, 6644, 8000, 14283, 14284, 14285]),
+)
+
+
+@st.composite
+def codec_ints(draw):
+    """Signed integers of every size the codec splits differently."""
+    if draw(st.booleans()):
+        bits = draw(codec_bits)
+        n = random.Random(draw(st.integers(0, 2 ** 32))).getrandbits(bits) | (1 << (bits - 1))
+    else:  # runs of zeros or nines in every piece
+        n = 10 ** draw(st.integers(0, 12_000)) + draw(st.integers(-1, 1))
+    return -n if draw(st.booleans()) else n
+
+
+needs_int_str_limit = pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="interpreter has no int/str digit limit"
+)
+
+
+def run_fresh(code: str, limit: int) -> dict:
+    """Run code in a fresh interpreter at the given int/str limit; parse its JSON."""
+    proc = subprocess.run(
+        [sys.executable, "-X", f"int_max_str_digits={limit}", "-c", code],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
 
 
 class TestDivision:
@@ -113,15 +152,61 @@ class TestDigitHelpers:
     def test_exceeds_digits_matches_count(self, n, budget):
         assert exceeds_digits(n, budget) == (decimal_digits(n) > budget)
 
-    @given(st.integers(min_value=-(10 ** 50), max_value=10 ** 50))
+    @given(st.one_of(st.integers(min_value=-(10 ** 50), max_value=10 ** 50), codec_ints()))
     def test_decimal_string_round_trip(self, n):
         assert to_decimal_string(n) == str(n)
         assert from_decimal_string(to_decimal_string(n)) == n
 
-    @pytest.mark.parametrize("bad", ["", "12.5", "1e5", "0x10", "ten"])
+    @pytest.mark.parametrize("text, value", [
+        ("+5", 5),
+        ("-0", 0),
+        ("007", 7),
+        ("  42\n", 42),
+        ("\t-0012 ", -12),
+        pytest.param("0" * 5000 + "9" * 3000, 10 ** 3000 - 1, id="long-leading-zeros"),
+        pytest.param("+1" + "0" * 9000, 10 ** 9000, id="long-plus"),
+    ])
+    def test_from_decimal_string_accepts(self, text, value):
+        assert from_decimal_string(text) == value
+
+    @pytest.mark.parametrize("bad", [
+        "", " ", "+", "-", "--1", "+-1", "12.5", "1e5", "1_0", "0x10", "ten", "1 2",
+        pytest.param("1" * 3000 + "_" + "1" * 3000, id="long-underscore"),
+        pytest.param("9" * 5000 + ".0", id="long-point"),
+    ])
     def test_from_decimal_string_rejects_garbage(self, bad):
         with pytest.raises(ValueError):
             from_decimal_string(bad)
+
+    @needs_int_str_limit
+    @pytest.mark.parametrize("limit", [640, 4300])  # the lowest allowed and the default
+    def test_codec_in_fresh_process_keeps_int_str_limit(self, limit):
+        # the suite lifts the limit in this process, so check in a fresh one
+        out = run_fresh(
+            "import json, random, sys\n"
+            "from machin.exactint import from_decimal_string, to_decimal_string\n"
+            "rng = random.Random(5)\n"
+            "cases = []\n"
+            "for d in (640, 641, 4300, 4301, 100_000):\n"
+            "    n = rng.randrange(10 ** (d - 1), 10 ** d)\n"
+            "    text = ''.join(rng.choice('0123456789') for _ in range(d))\n"
+            "    s = to_decimal_string(-n)\n"
+            "    cases.append([hex(n), s, from_decimal_string(s) == -n,\n"
+            "                  text, hex(from_decimal_string(text))])\n"
+            "print(json.dumps({'cases': cases, 'limit': sys.get_int_max_str_digits()}))\n",
+            limit,
+        )
+        assert out["limit"] == limit
+        for n, s, back, text, m in out["cases"]:
+            assert s == str(-int(n, 16))
+            assert back
+            assert int(m, 16) == int(text)
+
+    def test_library_never_sets_int_str_limit(self):
+        sources = sorted(Path(machin.__file__).parent.glob("*.py"))
+        assert sources
+        for path in sources:
+            assert "set_int_max_str_digits" not in path.read_text(encoding="utf-8"), path.name
 
 
 class TestRatio:

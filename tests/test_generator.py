@@ -211,6 +211,25 @@ class TestGenerate:
         assert len(set(qs)) == len(qs)
         assert all(t.coefficient == 1 for t in f.terms[1:])
 
+    @given(st.integers(min_value=2, max_value=150), st.sampled_from(["signed", "positive"]))
+    @settings(max_examples=40)
+    def test_matches_single_steps(self, q0, mode):
+        # generate() runs its own loop, which skips the final B' = q*B + A
+        f = generate(q0, GenerationConfig(mode=mode, partial=True, max_digits=300))
+        if mode == "signed":
+            _, state = find_first_term(q0)
+            step = next_term_signed
+        else:
+            _, a, b = _floor_first(q0)
+            state, step = RemainderState(a, b, 1), next_term_positive
+        terms = []
+        for _ in f.terms[1:]:
+            term, state = step(state)
+            terms.append(term)
+        assert terms == list(f.terms[1:])
+        assert f.final_remainder == (None if f.complete else state)
+        assert f.complete == (state.A == 0)
+
     def test_large_q0_is_not_special(self):
         f = generate(100000, GenerationConfig(partial=True, max_digits=30))
         assert f.terms[0].coefficient == 78540
