@@ -4,15 +4,21 @@ Text output mirrors the classic trace format: an ``M <m> Q <q0>`` header,
 one ``(+|-) Q <q>`` line per term (``lg Q <log10>`` once the integer would
 be too wide to print), a ``(brk)`` marker when a partial run was cut off,
 then the Lehmer measure and a float sanity sum for pi. JSON output emits a
-formula document with integers as decimal strings.
+formula document (schema 2) with every integer as a ``0x``-prefixed
+lowercase hex string, which converts in linear time and is not subject to
+the interpreter's int/str digit limit; schema 1 documents, with decimal
+strings, are still read.
 
-Exit codes: 0 ok, 2 bad input, 3 cutoff without --partial, 4 precision
-unachievable, 5 identity check failed, 6 partial formula not verifiable.
+Exit codes: 0 ok, 1 stdout closed before all output was written, 2 bad
+input, 3 cutoff without --partial, 4 precision unachievable, 5 identity
+check failed, 6 partial formula not verifiable.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import re
 import sys
 
 from .errors import (
@@ -23,12 +29,13 @@ from .errors import (
 )
 from .evaluator import compute_pi
 from .exactint import decimal_digits, from_decimal_string, log10_approx, to_decimal_string
-from .generator import FormulaTerm, GenerationConfig, MachinFormula, generate
+from .generator import FormulaTerm, GenerationConfig, MachinFormula, RemainderState, generate
 from .measure import LehmerResult, lehmer_measure
 from .verify import float_sanity, fold_formula
 
 __all__ = [
     "EXIT_BAD_INPUT",
+    "EXIT_BROKEN_PIPE",
     "EXIT_CUTOFF",
     "EXIT_IDENTITY_FAILED",
     "EXIT_OK",
@@ -41,9 +48,10 @@ __all__ = [
     "render_text",
 ]
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 EXIT_OK = 0
+EXIT_BROKEN_PIPE = 1
 EXIT_BAD_INPUT = 2
 EXIT_CUTOFF = 3
 EXIT_PRECISION = 4
@@ -60,46 +68,86 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
+def _hex(n) -> str:
+    return "0x" + format(n, "x")
+
+
+_HEX = re.compile(r"0x[0-9a-f]+")
+
+
+def _parse_hex(text) -> int:
+    if not _HEX.fullmatch(text):
+        raise ValueError(f"not a 0x-prefixed lowercase hex integer: {text!r:.40}")
+    return int(text[2:], 16)
+
+
+def _parse_sign(text) -> int:
+    sign = {"+": 1, "-": -1}.get(text)
+    if sign is None:
+        raise ValueError("sign must be '+' or '-'")
+    return sign
+
+
 def formula_to_document(formula: MachinFormula, lehmer: LehmerResult) -> dict:
-    """JSON-ready document; integers travel as decimal strings."""
-    return {
+    """JSON-ready schema 2 document; integers travel as "0x" + lowercase hex.
+
+    A partial formula that carries its unconsumed remainder also writes
+    ``final_remainder`` as {"A", "B", "delta"} (delta as a '+'/'-' sign).
+    """
+    doc = {
         "schema_version": SCHEMA_VERSION,
-        "q0": to_decimal_string(formula.q0),
-        "m": str(formula.terms[0].coefficient),
+        "q0": _hex(formula.q0),
+        "m": _hex(formula.terms[0].coefficient),
         "mode": formula.mode,
         "complete": formula.complete,
         "terms": [
             {
                 "sign": "+" if term.sign > 0 else "-",
-                "q": to_decimal_string(term.q),
+                "q": _hex(term.q),
                 "lg_q": log10_approx(term.q),
             }
             for term in formula.terms[1:]
         ],
         "lehmer": {"value": lehmer.value, "is_upper_bound": lehmer.is_upper_bound},
     }
+    rem = formula.final_remainder
+    if rem is not None:
+        doc["final_remainder"] = {
+            "A": _hex(rem.A),
+            "B": _hex(rem.B),
+            "delta": "+" if rem.delta > 0 else "-",
+        }
+    return doc
 
 
 def document_to_formula(doc) -> MachinFormula:
-    """Rebuild a formula from a parsed document (inverse of formula_to_document)."""
+    """Rebuild a formula from a parsed document (inverse of formula_to_document).
+
+    Reads schema 2 (strict "0x" + lowercase hex integers) and schema 1
+    (decimal integer strings).
+    """
     if not isinstance(doc, dict):
         raise ValueError("formula document must be a JSON object")
-    if doc.get("schema_version") != SCHEMA_VERSION:
-        raise ValueError(f"unsupported formula document (need schema_version {SCHEMA_VERSION})")
+    version = doc.get("schema_version")
+    if version not in (1, 2):
+        raise ValueError("unsupported formula document (need schema_version 1 or 2)")
+    parse = _parse_hex if version == 2 else from_decimal_string
     try:
-        q0 = from_decimal_string(doc["q0"])
-        m = int(doc["m"])
+        q0 = parse(doc["q0"])
+        m = parse(doc["m"])
         complete = bool(doc["complete"])
         mode = doc.get("mode", "signed")
         terms = [FormulaTerm(sign=1, q=q0, coefficient=m)]
         for entry in doc["terms"]:
-            sign = {"+": 1, "-": -1}.get(entry["sign"])
-            if sign is None:
-                raise ValueError("term sign must be '+' or '-'")
-            terms.append(FormulaTerm(sign=sign, q=from_decimal_string(entry["q"])))
-    except (KeyError, TypeError) as exc:
+            terms.append(FormulaTerm(sign=_parse_sign(entry["sign"]), q=parse(entry["q"])))
+        rem = None
+        if "final_remainder" in doc:
+            entry = doc["final_remainder"]
+            rem = RemainderState(parse(entry["A"]), parse(entry["B"]), _parse_sign(entry["delta"]))
+    except (KeyError, TypeError, AttributeError) as exc:  # missing keys, non-string values
         raise ValueError(f"malformed formula document: {exc}") from exc
-    return MachinFormula(q0=q0, terms=tuple(terms), complete=complete, mode=mode)
+    return MachinFormula(q0=q0, terms=tuple(terms), complete=complete,
+                         final_remainder=rem, mode=mode)
 
 
 def _q_display(q, digit_limit: int) -> str:
@@ -251,7 +299,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()  # a closed reader (`machin pi ... | head`) shows up here
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at exit; point it at devnull
+        # so that flush cannot fail too
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -7,6 +7,7 @@ import pytest
 
 from machin.cli import (
     EXIT_BAD_INPUT,
+    EXIT_BROKEN_PIPE,
     EXIT_CUTOFF,
     EXIT_IDENTITY_FAILED,
     EXIT_OK,
@@ -16,11 +17,49 @@ from machin.cli import (
     formula_to_document,
     main,
 )
-from machin.exactint import log10_approx
-from machin.generator import generate
+from machin.exactint import log10_approx, to_decimal_string
+from machin.generator import GenerationConfig, generate
 from machin.measure import lehmer_measure
 
 from reference_runs import REFERENCE_RUNS
+
+needs_int_str_limit = pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="interpreter has no int/str digit limit"
+)
+
+
+Q7_V1_DOCUMENT = {  # as written by schema 1: integers as decimal strings
+    "schema_version": 1,
+    "q0": "7",
+    "m": "6",
+    "mode": "signed",
+    "complete": True,
+    "terms": [
+        {"sign": "-", "q": "15", "lg_q": 1.1760912590556813},
+        {"sign": "+", "q": "1712", "lg_q": 3.2335037603411343},
+        {"sign": "-", "q": "8886139", "lg_q": 6.948713102339563},
+        {"sign": "+", "q": "2526830931360443", "lg_q": 15.402576184526326},
+    ],
+    "lehmer": {"value": 2.551666609279758, "is_upper_bound": False},
+}
+
+
+def v1_document(formula):
+    """The schema 1 writer: decimal strings and no remainder."""
+    return {
+        "schema_version": 1,
+        "q0": to_decimal_string(formula.q0),
+        "m": str(formula.terms[0].coefficient),
+        "mode": formula.mode,
+        "complete": formula.complete,
+        "terms": [{"sign": "+" if t.sign > 0 else "-", "q": to_decimal_string(t.q),
+                   "lg_q": log10_approx(t.q)} for t in formula.terms[1:]],
+        "lehmer": {"value": 0.0, "is_upper_bound": not formula.complete},
+    }
+
+
+def v2_document(formula):
+    return json.loads(json.dumps(formula_to_document(formula, lehmer_measure(formula))))
 
 
 def run_cli(capsys, *argv):
@@ -70,12 +109,90 @@ class TestGenerateCommand:
         code, out, _ = run_cli(capsys, "generate", "7", "--format", "json")
         assert code == EXIT_OK
         doc = json.loads(out)
-        assert doc["schema_version"] == 1
-        assert (doc["q0"], doc["m"], doc["mode"], doc["complete"]) == ("7", "6", "signed", True)
-        assert [t["q"] for t in doc["terms"]] == ["15", "1712", "8886139", "2526830931360443"]
+        assert doc["schema_version"] == 2
+        assert (doc["q0"], doc["m"], doc["mode"], doc["complete"]) == ("0x7", "0x6", "signed", True)
+        # 15, 1712, 8886139, 2526830931360443
+        assert [t["q"] for t in doc["terms"]] == ["0xf", "0x6b0", "0x87977b", "0x8fa23ac123abb"]
         assert [t["sign"] for t in doc["terms"]] == ["-", "+", "-", "+"]
+        assert "final_remainder" not in doc
         for t in doc["terms"]:
-            assert abs(t["lg_q"] - log10_approx(int(t["q"]))) < 1e-12
+            assert abs(t["lg_q"] - log10_approx(int(t["q"], 16))) < 1e-12
+
+    def test_reads_v1_document_q7(self):
+        assert document_to_formula(Q7_V1_DOCUMENT) == generate(7)
+
+    @pytest.mark.parametrize("mode,q0", [("signed", q0) for q0 in range(2, 15)]
+                             + [("positive", q0) for q0 in range(2, 10)])
+    def test_reads_v1_documents(self, mode, q0):
+        formula = generate(q0, GenerationConfig(mode=mode))
+        assert document_to_formula(json.loads(json.dumps(v1_document(formula)))) == formula
+
+    def test_reads_v1_partial_document_without_remainder(self):
+        formula = generate(10, GenerationConfig(partial=True, max_digits=20))
+        loaded = document_to_formula(v1_document(formula))
+        assert not loaded.complete and loaded.final_remainder is None
+        assert loaded.terms == formula.terms
+
+    @pytest.mark.parametrize("bad", ["0XF", "0x", "f", "0x_f", "+0xf", " 0xf", "0xF", "0xf ",
+                                     "0xf\n", "-0x1", "15", 15, None, ["0xf"]])
+    @pytest.mark.parametrize("field", ["q0", "m", "q", "A", "B"])
+    def test_v2_rejects_non_canonical_hex(self, bad, field):
+        doc = v2_document(generate(10, GenerationConfig(partial=True, max_digits=20)))
+        if field == "q":
+            doc["terms"][-1]["q"] = bad
+        elif field in ("A", "B"):
+            doc["final_remainder"][field] = bad
+        else:
+            doc[field] = bad
+        with pytest.raises(ValueError):
+            document_to_formula(doc)
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_rejects_underscore_in_m(self, version):
+        doc = Q7_V1_DOCUMENT if version == 1 else v2_document(generate(7))
+        with pytest.raises(ValueError):
+            document_to_formula({**doc, "m": "0_4"})
+        with pytest.raises(ValueError):
+            document_to_formula({**doc, "m": 6})
+
+    @pytest.mark.parametrize("delta", ["", "+1", 1, None])
+    def test_rejects_bad_remainder_sign(self, delta):
+        doc = v2_document(generate(10, GenerationConfig(partial=True, max_digits=20)))
+        doc["final_remainder"]["delta"] = delta
+        with pytest.raises(ValueError):
+            document_to_formula(doc)
+
+    @pytest.mark.parametrize("version", [0, 3, "2", None])
+    def test_rejects_unknown_schema(self, version):
+        with pytest.raises(ValueError):
+            document_to_formula({**v2_document(generate(7)), "schema_version": version})
+
+    @needs_int_str_limit
+    def test_documents_at_lowest_int_str_limit_in_fresh_process(self):
+        # the suite lifts the int/str limit in this process; a fresh one has it
+        code = (
+            "import json, sys\n"
+            "from machin import fold_formula, generate, lehmer_measure\n"
+            "from machin.cli import document_to_formula, formula_to_document\n"
+            "f = generate(18)\n"
+            "text = json.dumps(formula_to_document(f, lehmer_measure(f)))\n"
+            "g = document_to_formula(json.loads(text))\n"
+            "ratio = fold_formula(g)\n"
+            "v1 = {'schema_version': 1, 'q0': '5', 'm': '1' * 5000, 'complete': False,\n"
+            "      'terms': []}\n"
+            "m = document_to_formula(v1).terms[0].coefficient\n"
+            "print(json.dumps([g == f, ratio.num == ratio.den, m == (10 ** 5000 - 1) // 9,\n"
+            "                  len(text), sys.get_int_max_str_digits()]))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-X", "int_max_str_digits=640", "-c", code],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        same, identity, long_m, size, limit = json.loads(proc.stdout)
+        assert same and identity and long_m
+        assert size > 10_000  # the q0 = 18 document holds integers far past 640 digits
+        assert limit == 640
 
     def test_json_round_trip_is_fixed_point(self, capsys):
         _, out, _ = run_cli(capsys, "generate", "9", "--format", "json")
@@ -124,6 +241,8 @@ class TestGenerateCommand:
         assert doc["lehmer"]["is_upper_bound"] is True
         formula = document_to_formula(doc)
         assert not formula.complete
+        assert formula == generate(10, GenerationConfig(partial=True, max_digits=20))
+        assert formula.final_remainder is not None
         again = formula_to_document(formula, lehmer_measure(formula))
         assert json.dumps(again) == json.dumps(doc)
 
@@ -194,7 +313,7 @@ class TestVerifyCommand:
     def test_tampered_document_fails(self, capsys, tmp_path):
         _, out, _ = run_cli(capsys, "generate", "5", "--format", "json")
         doc = json.loads(out)
-        doc["terms"][0]["q"] = "240"  # was 239
+        doc["terms"][0]["q"] = "0xf0"  # 240, was 239
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
         code, out, err = run_cli(capsys, "verify", "--formula", str(path))
@@ -219,6 +338,17 @@ class TestVerifyCommand:
 
     def test_bad_q0(self, capsys):
         assert run_cli(capsys, "verify", "1")[0] == EXIT_BAD_INPUT
+
+
+def test_closed_stdout_exits_without_traceback():
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "machin", "pi", "--q0", "5", "--digits", "2000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()  # the reader is gone before any digit is written
+    _, err = proc.communicate(timeout=60)
+    assert err == b""
+    assert proc.returncode == EXIT_BROKEN_PIPE
 
 
 def test_module_entry_point():

@@ -1,9 +1,12 @@
 import math
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from machin.errors import IncompleteFormulaError
+from machin.errors import FoldError, IncompleteFormulaError
 from machin.evaluator import compute_pi
+from machin.exactint import Ratio
 from machin.generator import FormulaTerm, GenerationConfig, MachinFormula, generate
 from machin.verify import float_sanity, fold_formula
 
@@ -17,6 +20,41 @@ def reverse_fold(formula):
         for _ in range(term.coefficient):
             num, den = num * term.q + term.sign * den, den * term.q - term.sign * num
     return num, den
+
+
+def tangent_addition_fold(formula):
+    """The plain forward fold: two big multiplies per factor, the oracle."""
+    num, den = 0, 1
+    for term in formula.terms:
+        for _ in range(term.coefficient):
+            num, den = num * term.q + term.sign * den, den * term.q - term.sign * num
+            if den == 0:
+                raise FoldError("fold passed through tangent pi/2 (zero denominator)")
+    return Ratio(num, den)
+
+
+def fold_outcome(fold, formula):
+    try:
+        return fold(formula)
+    except FoldError as exc:
+        return "FoldError", str(exc)
+
+
+def complete_formula(q0, m, signed_qs):
+    terms = (FormulaTerm(1, q0, m),) + tuple(FormulaTerm(s, q) for s, q in signed_qs)
+    return MachinFormula(q0=q0, terms=terms, complete=True)
+
+
+# 3*arctan(1/2) + arctan(1/3) - arctan(1/7) = pi/2: (2+i)^3 (3+i)(7-i) = 250i
+THROUGH_PI_HALF = complete_formula(2, 3, [(1, 3), (-1, 7)])
+
+
+@st.composite
+def forged_formulas(draw):
+    size = st.one_of(st.integers(2, 60), st.integers(2, 10 ** 40))
+    qs = sorted(draw(st.sets(size, min_size=1, max_size=8)))
+    signs = draw(st.lists(st.sampled_from([-1, 1]), min_size=len(qs) - 1, max_size=len(qs) - 1))
+    return complete_formula(qs[0], draw(st.integers(1, 12)), zip(signs, qs[1:]))
 
 
 class TestFold:
@@ -40,14 +78,18 @@ class TestFold:
 
     @pytest.mark.parametrize("q0", range(2, 21))
     def test_signed_sweep(self, q0):
-        ratio = fold_formula(generate(q0, GenerationConfig(max_digits=200_000)))
+        formula = generate(q0, GenerationConfig(max_digits=200_000))
+        ratio = fold_formula(formula)
         assert ratio.num == ratio.den
+        assert ratio == tangent_addition_fold(formula)
 
-    @pytest.mark.parametrize("q0", range(2, 16))
+    # positive mode completes within 10^6 digits only up to q0 = 18
+    @pytest.mark.parametrize("q0", range(2, 19))
     def test_positive_sweep(self, q0):
-        cfg = GenerationConfig(mode="positive", max_digits=200_000)
-        ratio = fold_formula(generate(q0, cfg))
+        formula = generate(q0, GenerationConfig(mode="positive", max_digits=200_000))
+        ratio = fold_formula(formula)
         assert ratio.num == ratio.den
+        assert ratio == tangent_addition_fold(formula)
 
     @pytest.mark.parametrize("q0", [7, 9, 10, 13])
     def test_fold_order_does_not_matter(self, q0):
@@ -60,6 +102,17 @@ class TestFold:
         partial = generate(7, GenerationConfig(partial=True, max_digits=3))
         with pytest.raises(IncompleteFormulaError):
             fold_formula(partial)
+
+    def test_zero_denominator_raises(self):
+        with pytest.raises(FoldError):
+            fold_formula(THROUGH_PI_HALF)
+
+    @given(forged_formulas())
+    @example(THROUGH_PI_HALF)
+    @example(complete_formula(3, 5, [(-1, 43), (-1, 68)]))  # also lands on pi/2
+    @example(complete_formula(5, 4, [(-1, 239)]))
+    def test_matches_tangent_addition_fold(self, formula):
+        assert fold_outcome(fold_formula, formula) == fold_outcome(tangent_addition_fold, formula)
 
     def test_detects_tampering(self):
         bad = MachinFormula(
