@@ -11,7 +11,10 @@ strings, are still read.
 
 Exit codes: 0 ok, 1 stdout closed before all output was written, 2 bad
 input, 3 cutoff without --partial, 4 precision unachievable, 5 identity
-check failed, 6 partial formula not verifiable.
+check failed, 6 partial formula not verifiable. ``pi --formula`` checks
+its document before printing a digit: a complete one must fold to tangent
+1, a partial one must fold onto its recorded remainder (exit 6 when it
+records none).
 """
 from __future__ import annotations
 
@@ -31,7 +34,7 @@ from .evaluator import compute_pi
 from .exactint import decimal_digits, from_decimal_string, log10_approx, to_decimal_string
 from .generator import FormulaTerm, GenerationConfig, MachinFormula, RemainderState, generate
 from .measure import LehmerResult, lehmer_measure
-from .verify import float_sanity, fold_formula
+from .verify import check_identity, float_sanity
 
 __all__ = [
     "EXIT_BAD_INPUT",
@@ -135,7 +138,9 @@ def document_to_formula(doc) -> MachinFormula:
     try:
         q0 = parse(doc["q0"])
         m = parse(doc["m"])
-        complete = bool(doc["complete"])
+        complete = doc["complete"]
+        if not isinstance(complete, bool):
+            raise ValueError("complete must be a JSON boolean")
         mode = doc.get("mode", "signed")
         terms = [FormulaTerm(sign=1, q=q0, coefficient=m)]
         for entry in doc["terms"]:
@@ -186,6 +191,17 @@ def _load_formula(path: str) -> MachinFormula:
         return document_to_formula(json.load(handle))
 
 
+def _check_identity(formula) -> int | None:
+    """Exit code for a formula that fails check_identity, None if it passes."""
+    try:
+        check_identity(formula)
+    except IncompleteFormulaError as exc:
+        return _fail(str(exc), EXIT_PARTIAL_NOT_VERIFIABLE)
+    except FoldError as exc:
+        return _fail(f"identity check failed: {exc}", EXIT_IDENTITY_FAILED)
+    return None
+
+
 def _cmd_generate(args) -> int:
     q0 = _parse_q0(args.q0)
     if q0 is None:
@@ -216,6 +232,9 @@ def _cmd_pi(args) -> int:
             formula = _load_formula(args.formula)
         except (OSError, ValueError, json.JSONDecodeError) as exc:
             return _fail(f"cannot load formula: {exc}", EXIT_BAD_INPUT)
+        failed = _check_identity(formula)
+        if failed is not None:
+            return failed
     else:
         q0 = _parse_q0(args.q0)
         if q0 is None:
@@ -249,16 +268,11 @@ def _cmd_verify(args) -> int:
             return _fail(str(exc), EXIT_CUTOFF)
     if not formula.complete:
         return _fail("cannot verify partial formula as identity", EXIT_PARTIAL_NOT_VERIFIABLE)
-    try:
-        ratio = fold_formula(formula)
-    except FoldError as exc:
-        return _fail(f"identity check failed: {exc}", EXIT_IDENTITY_FAILED)
-    except IncompleteFormulaError as exc:  # defensive; completeness checked above
-        return _fail(str(exc), EXIT_PARTIAL_NOT_VERIFIABLE)
-    if ratio.num == ratio.den:
-        print("IDENTITY OK")
-        return EXIT_OK
-    return _fail("identity check failed: folded tangent is not 1", EXIT_IDENTITY_FAILED)
+    failed = _check_identity(formula)
+    if failed is not None:
+        return failed
+    print("IDENTITY OK")
+    return EXIT_OK
 
 
 def _build_parser() -> argparse.ArgumentParser:

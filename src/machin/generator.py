@@ -11,6 +11,15 @@ identity). Two term-selection rules are supported:
                   at least halves per step and term signs may alternate.
 * ``positive`` -- q is the ceiling of B/A; every sign is positive but the
                   numerator decays much more slowly.
+
+Both walks are one Gaussian-integer step, ``exactint.remainder_step``: the
+remainder B + delta*A*i is multiplied by (q - delta*i), and the first-term
+walk is (b + a*i) * (q0 - i). The step forms the short new numerator
+raw = q*A - B first; once A and raw have fewer than 1/64 of q's bits, which
+is nearly every step of a deep run, it gets B' = q*B + A as
+A*(q*q + 1) - q*raw, one squaring of q plus short multiplies instead of the
+big-by-big q*B. The first-term walk, with its small q0, and runs whose
+first remainder is still long next to q keep q*B + A.
 """
 from __future__ import annotations
 
@@ -18,7 +27,7 @@ from dataclasses import dataclass
 
 from ._bigint import bigint
 from .errors import GenerationCutoffError
-from .exactint import exceeds_digits
+from .exactint import exceeds_digits, remainder_step
 
 __all__ = [
     "FormulaTerm",
@@ -119,21 +128,34 @@ class GenerationConfig:
 def first_term_step(state, q0):
     """One subtraction of arctan(1/q0) from a first-term remainder (a, b)."""
     a, b = state
-    return q0 * a - b, q0 * b + a
+    b2, a2 = remainder_step(b, a, q0, 1)  # (b + a*i) * (q0 - i)
+    return a2, b2
 
 
 def _first_term_floor(q0):
     """Subtract arctan(1/q0) while the remainder stays positive.
 
-    Returns (m, a, b) for the largest m whose remainder arctan(a/b) is
-    still positive; the very next step would flip the sign of a.
+    Returns (m, a, b, a_next, b_next) for the largest m whose remainder
+    arctan(a/b) is still positive; (a_next, b_next) is the very next step,
+    where the numerator has turned negative.
     """
-    a = b = bigint(1)
-    m = 0
-    while a * q0 >= b:  # the next numerator q0*a - b would still be >= 0
-        a, b = q0 * a - b, q0 * b + a
-        m += 1
-    return m, a, b
+    m, a, b = 0, bigint(1), bigint(1)
+    while True:
+        b_next, a_next = remainder_step(b, a, q0, 1)
+        if a_next < 0:
+            return m, a, b, a_next, b_next
+        m, a, b = m + 1, a_next, b_next
+
+
+def _first_term_nearest(q):
+    """m, A, B, delta for the bracketing m that leaves the smaller remainder.
+
+    The comparison is done purely on integer cross products.
+    """
+    m, a, b, a_next, b_next = _first_term_floor(q)
+    if a * b_next + b * a_next > 0:  # overshooting leaves the smaller remainder
+        return m + 1, -a_next, b_next, -1
+    return m, a, b, 1
 
 
 def _coerce_q0(q0):
@@ -147,40 +169,47 @@ def find_first_term(q0):
     """Multiplier m and remainder for the leading term m*arctan(1/q0).
 
     Of the two bracketing candidates (remainder still positive vs. first
-    negative), picks whichever leaves the smaller remainder magnitude;
-    the comparison is done purely on integer cross products.
+    negative), picks whichever leaves the smaller remainder magnitude.
     """
-    q = _coerce_q0(q0)
-    m, a, b = _first_term_floor(q)
-    a_next, b_next = q * a - b, q * b + a  # one step past the sign change
-    if a * b_next + b * a_next > 0:  # overshooting leaves the smaller remainder
-        return m + 1, RemainderState(int(-a_next), int(b_next), -1)
-    return m, RemainderState(int(a), int(b), 1)
+    m, A, B, delta = _first_term_nearest(_coerce_q0(q0))
+    return m, RemainderState(int(A), int(B), delta)
 
 
-def _step_signed(A, B, delta):
-    """One signed step; returns (q, term_sign, A', delta'). B' is q*B + A."""
-    q = (2 * B + A) // (2 * A)  # nearest integer to B/A, halves round up
-    raw = q * A - B
-    if raw < 0:
-        return q, delta, -raw, -delta
-    return q, delta, raw, delta  # raw == 0 keeps delta; the caller stops
+def _pick_signed(A, B):
+    """Nearest integer q to B/A (halves round up), and whether q*A == B."""
+    q, r = divmod(2 * B + A, 2 * A)
+    return q, r == A  # q*A - B == (A - r) / 2
 
 
-def _step_positive(A, B, delta):
-    """One all-positive step; returns (q, term_sign, A', delta'). B' is q*B + A."""
-    q = -((-B) // A)  # ceiling of B/A
-    return q, 1, q * A - B, 1
+def _pick_positive(A, B):
+    """Ceiling q of B/A, and whether q*A == B."""
+    q, r = divmod(-B, A)
+    return -q, r == 0  # q*A - B == r
+
+
+def _advance(A, B, delta, q):
+    """The remainder (A', B', delta') left after the term delta*arctan(1/q).
+
+    B + delta*A*i times (q - delta*i): the imaginary part is delta*(q*A - B),
+    at most A in size, so remainder_step squares q for B' = q*B + A
+    whenever A is short next to q.
+    """
+    B2, y2 = remainder_step(B, delta * A, q, delta)
+    return abs(y2), B2, (1 if y2 > 0 else -1) if y2 else delta
+
+
+def _next_term(state: RemainderState, pick):
+    A, B = bigint(state.A), bigint(state.B)
+    q, _ = pick(A, B)
+    A2, B2, delta2 = _advance(A, B, state.delta, q)
+    return FormulaTerm(sign=state.delta, q=int(q)), RemainderState(int(A2), int(B2), delta2)
 
 
 def next_term_signed(state: RemainderState):
     """Split the nearest-integer term off a remainder; numerator halves."""
     if state.A <= 0:
         raise ValueError("remainder is exhausted (A = 0); generation must stop")
-    A, B = bigint(state.A), bigint(state.B)
-    q, sign, A2, delta2 = _step_signed(A, B, state.delta)
-    term = FormulaTerm(sign=sign, q=int(q))
-    return term, RemainderState(int(A2), int(q * B + A), delta2)
+    return _next_term(state, _pick_signed)
 
 
 def next_term_positive(state: RemainderState):
@@ -189,10 +218,7 @@ def next_term_positive(state: RemainderState):
         raise ValueError("remainder is exhausted (A = 0); generation must stop")
     if state.delta != 1:
         raise ValueError("positive mode requires a positive remainder")
-    A, B = bigint(state.A), bigint(state.B)
-    q, sign, A2, delta2 = _step_positive(A, B, state.delta)
-    term = FormulaTerm(sign=sign, q=int(q))
-    return term, RemainderState(int(A2), int(q * B + A), delta2)
+    return _next_term(state, _pick_positive)
 
 
 def generate(q0, config: GenerationConfig | None = None) -> MachinFormula:
@@ -209,25 +235,20 @@ def generate(q0, config: GenerationConfig | None = None) -> MachinFormula:
     q = _coerce_q0(q0)
     q0_int = int(q)
 
-    m, a, b = _first_term_floor(q)
     if cfg.mode == "signed":
-        a_next, b_next = q * a - b, q * b + a
-        if a * b_next + b * a_next > 0:
-            m, A, B, delta = m + 1, -a_next, b_next, -1
-        else:
-            A, B, delta = a, b, 1
-        step = _step_signed
+        m, A, B, delta = _first_term_nearest(q)
+        pick = _pick_signed
     else:
-        A, B, delta = a, b, 1  # keep the positive remainder
-        step = _step_positive
+        m, A, B, _, _ = _first_term_floor(q)  # keep the positive remainder
+        delta, pick = 1, _pick_positive
 
     terms = [FormulaTerm(sign=1, q=q0_int, coefficient=m)]
     while True:
-        qn, sign, A2, delta = step(A, B, delta)
-        terms.append(FormulaTerm(sign=sign, q=int(qn)))
-        if A2 == 0:  # complete: the last B' = q*B + A is never needed
+        qn, exact = pick(A, B)
+        terms.append(FormulaTerm(sign=delta, q=int(qn)))
+        if exact:  # complete: the B' after this term is never needed
             return MachinFormula(q0_int, tuple(terms), True, None, cfg.mode)
-        A, B = A2, qn * B + A
+        A, B, delta = _advance(A, B, delta, qn)
         if exceeds_digits(qn, cfg.max_digits):
             if cfg.partial:
                 remainder = RemainderState(int(A), int(B), delta)

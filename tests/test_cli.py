@@ -62,6 +62,10 @@ def v2_document(formula):
     return json.loads(json.dumps(formula_to_document(formula, lehmer_measure(formula))))
 
 
+def _hex(n):
+    return "0x" + format(n, "x")
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -154,6 +158,20 @@ class TestGenerateCommand:
             document_to_formula({**doc, "m": "0_4"})
         with pytest.raises(ValueError):
             document_to_formula({**doc, "m": 6})
+
+    @pytest.mark.parametrize("complete", ["false", "true", 0, 1, None])
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_rejects_non_boolean_complete(self, capsys, tmp_path, version, complete):
+        formula = generate(10, GenerationConfig(partial=True, max_digits=20))
+        doc = v1_document(formula) if version == 1 else v2_document(formula)
+        doc["complete"] = complete
+        with pytest.raises(ValueError):
+            document_to_formula(doc)
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run_cli(capsys, "verify", "--formula", str(path))
+        assert code == EXIT_BAD_INPUT
+        assert out == "" and "complete" in err
 
     @pytest.mark.parametrize("delta", ["", "+1", 1, None])
     def test_rejects_bad_remainder_sign(self, delta):
@@ -288,6 +306,52 @@ class TestPiCommand:
         code, out, err = run_cli(capsys, "pi", "--formula", str(path), "--digits", "50")
         assert code == EXIT_PRECISION
         assert out == "" and err != ""
+
+    def test_tampered_complete_document_prints_nothing(self, capsys, tmp_path):
+        _, out, _ = run_cli(capsys, "generate", "5", "--format", "json")
+        doc = json.loads(out)
+        doc["terms"][0]["q"] = "0xf0"  # 240, was 239
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run_cli(capsys, "pi", "--formula", str(path), "--digits", "20")
+        assert code == EXIT_IDENTITY_FAILED
+        assert out == "" and "identity" in err
+
+    def test_partial_document_with_remainder(self, capsys, tmp_path):
+        _, out, _ = run_cli(capsys, "generate", "12", "--partial", "--max-digits", "80",
+                            "--format", "json")
+        assert not json.loads(out)["complete"]
+        path = tmp_path / "partial.json"
+        path.write_text(out, encoding="utf-8")
+        code, from_file, _ = run_cli(capsys, "pi", "--formula", str(path), "--digits", "50")
+        _, from_q0, _ = run_cli(capsys, "pi", "--q0", "5", "--digits", "50")
+        assert code == EXIT_OK and from_file == from_q0
+
+    @pytest.mark.parametrize("field", ["q", "A", "B", "delta"])
+    def test_tampered_partial_document_prints_nothing(self, capsys, tmp_path, field):
+        _, out, _ = run_cli(capsys, "generate", "12", "--partial", "--max-digits", "80",
+                            "--format", "json")
+        doc = json.loads(out)
+        if field == "q":
+            doc["terms"][-1]["q"] = _hex(int(doc["terms"][-1]["q"], 16) + 1)
+        elif field == "delta":
+            rem = doc["final_remainder"]
+            rem["delta"] = "+" if rem["delta"] == "-" else "-"
+        else:
+            doc["final_remainder"][field] = _hex(int(doc["final_remainder"][field], 16) + 1)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run_cli(capsys, "pi", "--formula", str(path), "--digits", "50")
+        assert code == EXIT_IDENTITY_FAILED
+        assert out == "" and "identity" in err
+
+    def test_partial_document_without_remainder(self, capsys, tmp_path):
+        formula = generate(12, GenerationConfig(partial=True, max_digits=80))
+        path = tmp_path / "partial.json"
+        path.write_text(json.dumps(v1_document(formula)), encoding="utf-8")
+        code, out, err = run_cli(capsys, "pi", "--formula", str(path), "--digits", "50")
+        assert code == EXIT_PARTIAL_NOT_VERIFIABLE
+        assert out == "" and "remainder" in err
 
     def test_bad_inputs(self, capsys):
         assert run_cli(capsys, "pi", "--q0", "5", "--digits", "0")[0] == EXIT_BAD_INPUT

@@ -3,11 +3,12 @@ import math
 import random
 import subprocess
 import sys
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import machin
@@ -20,8 +21,11 @@ from machin.exactint import (
     from_decimal_string,
     log10_approx,
     nearest_int,
+    remainder_step,
     to_decimal_string,
 )
+
+LOG10_2 = Decimal("0.30102999566398119521373889472449302676818988146210854131")
 
 nums = st.integers(min_value=-(10 ** 40), max_value=10 ** 40)
 dens = st.integers(min_value=1, max_value=10 ** 20)
@@ -48,6 +52,28 @@ def codec_ints(draw):
 needs_int_str_limit = pytest.mark.skipif(
     not hasattr(sys, "get_int_max_str_digits"), reason="interpreter has no int/str digit limit"
 )
+
+
+@st.composite
+def step_inputs(draw):
+    """(x, y, q, s) with y and y' on both sides of remainder_step's cut-off.
+
+    In the remainder frame y' = q*y - s*x is short, so x is mostly drawn
+    as s*(q*y - r) for a short r (then y' == r); sometimes x is arbitrary.
+    """
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    q_bits = draw(st.one_of(st.integers(1, 200), st.integers(200, 20_000)))
+    q = rng.getrandbits(q_bits) | (1 << (q_bits - 1))
+    cut = q_bits // 64  # the squared form needs fewer bits than this
+    y_bits = draw(st.one_of(st.integers(0, cut + 2), st.integers(max(cut - 2, 0), q_bits + 64)))
+    y = rng.getrandbits(y_bits) * draw(st.sampled_from([-1, 1]))
+    s = draw(st.sampled_from([-1, 1]))
+    r = rng.getrandbits(draw(st.integers(0, y_bits + 2))) * draw(st.sampled_from([-1, 1]))
+    if draw(st.integers(0, 3)):
+        x = s * (q * y - r)
+    else:
+        x = rng.getrandbits(q_bits + y_bits + 2) * draw(st.sampled_from([-1, 1]))
+    return x, y, q, s
 
 
 def run_fresh(code: str, limit: int) -> dict:
@@ -105,6 +131,27 @@ class TestDivision:
         assert nearest_int(num, den) == expected
 
 
+class TestRemainderStep:
+    @given(step_inputs())
+    @example((3 * (1 << 6400), 5, 1 << 6399, 1))
+    # q of 6400 bits: a 99-bit y and y' take the squared form, a 100-bit one the plain
+    @example(((1 << 6399) * ((1 << 98) + 7) - 3, (1 << 98) + 7, 1 << 6399, 1))
+    @example((-((1 << 6399) * ((1 << 98) + 7) - 3), (1 << 98) + 7, 1 << 6399, -1))
+    @example(((1 << 6399) * ((1 << 99) + 7) - 3, (1 << 99) + 7, 1 << 6399, 1))
+    @example((-((1 << 6399) * -((1 << 98) + 7) + 3), -((1 << 98) + 7), 1 << 6399, -1))
+    @example((956, -4, 239, -1))  # Machin: 4*arctan(1/5) - arctan(1/239) lands on 956*239 + 4
+    @example((12345, 0, 10 ** 40, 1))
+    @example((0, 0, 7, -1))
+    def test_matches_plain_product(self, args):
+        x, y, q, s = args
+        assert remainder_step(x, y, q, s) == (q * x + s * y, q * y - s * x)
+
+    def test_first_term_walk(self):
+        # (b + a*i) * (q0 - i) is the first-term step (a, b) -> (q0*a - b, q0*b + a)
+        assert remainder_step(6, 4, 5, 1) == (34, 14)
+        assert remainder_step(184, 36, 5, 1) == (956, -4)
+
+
 class TestLog10:
     def test_powers_of_ten_exact(self):
         for k in (0, 1, 2, 3, 7, 15, 100, 1234, 10 ** 5, 10 ** 6):
@@ -135,6 +182,22 @@ class TestLog10:
     def test_rejects_nonpositive(self, bad):
         with pytest.raises(ValueError):
             log10_approx(bad)
+
+    @given(st.lists(st.integers(1, 5000), min_size=1, max_size=8), st.integers(0, 2 ** 32))
+    def test_memo_returns_the_uncached_value(self, sizes, seed):
+        # the 50-digit Decimal computation, uncached, as the oracle; every
+        # value is asked for twice so the second answer comes from the cache
+        rng = random.Random(seed)
+        values = [rng.getrandbits(b) | (1 << (b - 1)) for b in sizes]
+        for x in values + values:
+            with localcontext() as ctx:
+                ctx.prec = 50
+                if x.bit_length() <= 64:
+                    expected = float(Decimal(x).log10())
+                else:
+                    shift = x.bit_length() - 64
+                    expected = float(Decimal(x >> shift).log10() + shift * LOG10_2)
+            assert log10_approx(x) == expected
 
 
 class TestDigitHelpers:

@@ -32,6 +32,11 @@ def tiny_fold(formula):
 
 
 class TestFirstTerm:
+    @given(st.integers(min_value=2, max_value=10 ** 30), st.integers(-10 ** 60, 10 ** 60),
+           st.integers(-10 ** 60, 10 ** 60))
+    def test_step_is_the_plain_recurrence(self, q0, a, b):
+        assert first_term_step((a, b), q0) == (q0 * a - b, q0 * b + a)
+
     def test_step_examples(self):
         assert first_term_step((1, 1), 5) == (4, 6)
         assert first_term_step((4, 6), 5) == (14, 34)
@@ -140,6 +145,29 @@ def _floor_first(q0):
     return m, a, b
 
 
+def plain_run(q0, mode="signed", max_digits=1_000_000):
+    """The textbook recurrences, an oracle independent of remainder_step.
+
+    Returns (m, [(sign, q)], [remainder after each term], complete), where
+    every remainder carries the full B' = q*B + A, the last one included.
+    """
+    m, a, b = _floor_first(q0)
+    A, B, delta = a, b, 1
+    if mode == "signed":
+        a2, b2 = q0 * a - b, q0 * b + a
+        if a * b2 + b * a2 > 0:
+            m, A, B, delta = m + 1, -a2, b2, -1
+    terms, states = [], []
+    while True:
+        q = (2 * B + A) // (2 * A) if mode == "signed" else -((-B) // A)
+        raw = q * A - B
+        terms.append((delta, q))
+        A, B, delta = abs(raw), q * B + A, -delta if raw < 0 else delta
+        states.append(RemainderState(A, B, delta))
+        if A == 0 or q >= 10 ** max_digits:
+            return m, terms, states, A == 0
+
+
 class TestGenerate:
     def test_q5_signed_golden(self):
         f = generate(5)
@@ -229,6 +257,28 @@ class TestGenerate:
         assert terms == list(f.terms[1:])
         assert f.final_remainder == (None if f.complete else state)
         assert f.complete == (state.A == 0)
+
+    @pytest.mark.parametrize("mode,q0,max_digits",
+                             [("signed", q0, 1_000_000) for q0 in range(2, 21)]
+                             + [("positive", q0, 1_000_000) for q0 in range(2, 19)]
+                             + [(mode, q0, d) for mode in ("signed", "positive")
+                                for q0 in (28, 100, 327, 1000) for d in (30, 2000)])
+    def test_matches_plain_recurrence(self, mode, q0, max_digits):
+        m, terms, states, complete = plain_run(q0, mode, max_digits)
+        f = generate(q0, GenerationConfig(mode=mode, partial=True, max_digits=max_digits))
+        assert f.terms[0] == FormulaTerm(1, q0, m)
+        assert [(t.sign, t.q) for t in f.terms[1:]] == terms
+        assert f.complete == complete
+        assert f.final_remainder == (None if complete else states[-1])
+        if mode == "signed":
+            _, state = find_first_term(q0)
+            step = next_term_signed
+        else:
+            _, a, b = _floor_first(q0)
+            state, step = RemainderState(a, b, 1), next_term_positive
+        for sign_q, expected in zip(terms, states):
+            term, state = step(state)
+            assert ((term.sign, term.q), state) == (sign_q, expected)
 
     def test_large_q0_is_not_special(self):
         f = generate(100000, GenerationConfig(partial=True, max_digits=30))

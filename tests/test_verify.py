@@ -7,8 +7,14 @@ from hypothesis import strategies as st
 from machin.errors import FoldError, IncompleteFormulaError
 from machin.evaluator import compute_pi
 from machin.exactint import Ratio
-from machin.generator import FormulaTerm, GenerationConfig, MachinFormula, generate
-from machin.verify import float_sanity, fold_formula
+from machin.generator import (
+    FormulaTerm,
+    GenerationConfig,
+    MachinFormula,
+    RemainderState,
+    generate,
+)
+from machin.verify import check_identity, float_sanity, fold_formula
 
 from reference_runs import REFERENCE_RUNS
 
@@ -122,6 +128,48 @@ class TestFold:
         )
         ratio = fold_formula(bad)
         assert ratio.num != ratio.den
+
+
+class TestCheckIdentity:
+    @pytest.mark.parametrize("mode,q0", [("signed", q0) for q0 in range(2, 21)]
+                             + [("positive", q0) for q0 in range(2, 19)])
+    def test_generated_formulas_pass(self, mode, q0):
+        check_identity(generate(q0, GenerationConfig(mode=mode, max_digits=200_000)))
+        for digits in (3, 40, 400):
+            check_identity(generate(q0, GenerationConfig(mode=mode, partial=True,
+                                                         max_digits=digits)))
+
+    def test_tampered_complete_formula_fails(self):
+        with pytest.raises(FoldError):
+            check_identity(complete_formula(5, 4, [(-1, 240)]))
+        with pytest.raises(FoldError):
+            check_identity(THROUGH_PI_HALF)
+
+    @pytest.mark.parametrize("change", ["A", "B", "delta", "scaled", "negated"])
+    def test_tampered_remainder_fails(self, change):
+        f = generate(12, GenerationConfig(partial=True, max_digits=80))
+        rem = f.final_remainder
+        forged = {
+            "A": RemainderState(rem.A + 1, rem.B, rem.delta),
+            "B": RemainderState(rem.A, rem.B + 1, rem.delta),
+            "delta": RemainderState(rem.A, rem.B, -rem.delta),
+            "scaled": RemainderState(3 * rem.A, 3 * rem.B, rem.delta),
+            "negated": None,
+        }[change]
+        if forged is None:  # (1+i)(2-i)^8 = -(863 + 191i): cross product 0, dot product < 0
+            f = MachinFormula(2, (FormulaTerm(1, 2, 8),), False, RemainderState(191, 863, 1))
+            with pytest.raises(FoldError):
+                check_identity(f)
+        elif change == "scaled":  # a positive multiple is the same remainder
+            check_identity(MachinFormula(f.q0, f.terms, False, forged, f.mode))
+        else:
+            with pytest.raises(FoldError):
+                check_identity(MachinFormula(f.q0, f.terms, False, forged, f.mode))
+
+    def test_partial_without_remainder_raises(self):
+        f = generate(12, GenerationConfig(partial=True, max_digits=80))
+        with pytest.raises(IncompleteFormulaError):
+            check_identity(MachinFormula(f.q0, f.terms, False, None, f.mode))
 
 
 class TestFloatSanity:
