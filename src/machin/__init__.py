@@ -15,7 +15,7 @@ from .errors import (
     PrecisionUnachievableError,
 )
 from .evaluator import FixedPoint, PrecisionBudget, arctan_recip_fixed, compute_pi, plan_budget
-from .exactint import Ratio, ceil_div, floor_div, log10_approx, nearest_int
+from .exactint import Ratio, log10_approx
 from .generator import (
     FormulaTerm,
     GenerationConfig,
@@ -47,17 +47,14 @@ __all__ = [
     "Ratio",
     "RemainderState",
     "arctan_recip_fixed",
-    "ceil_div",
     "compute_pi",
     "find_first_term",
     "first_term_step",
     "float_sanity",
-    "floor_div",
     "fold_formula",
     "generate",
     "lehmer_measure",
     "log10_approx",
-    "nearest_int",
     "next_term_positive",
     "next_term_signed",
     "plan_budget",

@@ -18,10 +18,7 @@ records none).
 """
 from __future__ import annotations
 
-import argparse
-import json
 import os
-import re
 import sys
 
 from .errors import (
@@ -31,7 +28,8 @@ from .errors import (
     PrecisionUnachievableError,
 )
 from .evaluator import compute_pi
-from .exactint import decimal_digits, from_decimal_string, log10_approx, to_decimal_string
+from .exactint import exceeds_digits, from_decimal_string, log10_approx, to_decimal_string
+from .exactint import decimal_digits  # noqa: F401  not called; perfbench/tracing.py patches this name
 from .generator import FormulaTerm, GenerationConfig, MachinFormula, RemainderState, generate
 from .measure import LehmerResult, lehmer_measure
 from .verify import check_identity, float_sanity
@@ -75,13 +73,16 @@ def _hex(n) -> str:
     return "0x" + format(n, "x")
 
 
-_HEX = re.compile(r"0x[0-9a-f]+")
+# deletes every lowercase hex digit, so nothing is left of a valid body
+_DROP_HEX_DIGITS = str.maketrans("", "", "0123456789abcdef")
 
 
 def _parse_hex(text) -> int:
-    if not _HEX.fullmatch(text):
+    """The value of "0x" + one or more lowercase hex digits; nothing else."""
+    body = text[2:]
+    if text[:2] != "0x" or not body or body.translate(_DROP_HEX_DIGITS):
         raise ValueError(f"not a 0x-prefixed lowercase hex integer: {text!r:.40}")
-    return int(text[2:], 16)
+    return int(body, 16)
 
 
 def _parse_sign(text) -> int:
@@ -156,7 +157,7 @@ def document_to_formula(doc) -> MachinFormula:
 
 
 def _q_display(q, digit_limit: int) -> str:
-    if decimal_digits(q) > digit_limit:
+    if digit_limit < 1 or exceeds_digits(q, digit_limit):
         return f"lg Q {log10_approx(q)}"
     return f"Q {to_decimal_string(q)}"
 
@@ -187,6 +188,8 @@ def _parse_q0(text: str):
 
 
 def _load_formula(path: str) -> MachinFormula:
+    import json  # json loads re; only the verbs that read or write JSON pay for it
+
     with open(path, "r", encoding="utf-8") as handle:
         return document_to_formula(json.load(handle))
 
@@ -218,6 +221,8 @@ def _cmd_generate(args) -> int:
     lehmer = lehmer_measure(formula)
     sanity = float_sanity(formula)
     if args.format == "json":
+        import json
+
         print(json.dumps(formula_to_document(formula, lehmer), indent=2))
     else:
         print(render_text(formula, lehmer, sanity, args.display_digit_limit))
@@ -230,7 +235,7 @@ def _cmd_pi(args) -> int:
     if args.formula is not None:
         try:
             formula = _load_formula(args.formula)
-        except (OSError, ValueError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
             return _fail(f"cannot load formula: {exc}", EXIT_BAD_INPUT)
         failed = _check_identity(formula)
         if failed is not None:
@@ -256,7 +261,7 @@ def _cmd_verify(args) -> int:
     if args.formula is not None:
         try:
             formula = _load_formula(args.formula)
-        except (OSError, ValueError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
             return _fail(f"cannot load formula: {exc}", EXIT_BAD_INPUT)
     else:
         q0 = _parse_q0(args.q0)
@@ -275,7 +280,9 @@ def _cmd_verify(args) -> int:
     return EXIT_OK
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser():
+    import argparse  # it and the gettext it loads are needed by main alone
+
     parser = argparse.ArgumentParser(
         prog="machin",
         description="Generate Machin-like arctangent identities for pi/4, "

@@ -14,8 +14,7 @@ with a finer budget.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 
 from ._bigint import bigint
 from .errors import PrecisionUnachievableError
@@ -30,31 +29,22 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FixedPoint:
+class FixedPoint(namedtuple("FixedPoint", "mantissa scale")):
     """An exact decimal fixed-point value: mantissa * 10^-scale."""
 
-    mantissa: int
-    scale: int
-
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.mantissa, 10 ** self.scale)
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class PrecisionBudget:
+class PrecisionBudget(namedtuple(
+        "PrecisionBudget", "epsilon epsilon1 epsilon2 accepted_terms maclaurin_lengths")):
     """The error plan for one evaluation.
 
     epsilon is the requested bound, epsilon1 the tail cut, epsilon2 the
-    per-term Maclaurin allowance; maclaurin_lengths holds the minimal K
-    for each of the accepted_terms leading terms.
+    per-term Maclaurin allowance, all three Fractions; maclaurin_lengths
+    holds the minimal K for each of the accepted_terms leading terms.
     """
 
-    epsilon: Fraction
-    epsilon1: Fraction
-    epsilon2: Fraction
-    accepted_terms: int
-    maclaurin_lengths: tuple[int, ...]
+    __slots__ = ()
 
 
 def plan_budget(formula, digits: int) -> PrecisionBudget:
@@ -67,6 +57,8 @@ def plan_budget(formula, digits: int) -> PrecisionBudget:
     term is still too small to anchor the cut cannot reach the requested
     precision and is rejected.
     """
+    from fractions import Fraction  # its only user; kept out of `import machin`
+
     if digits < 1:
         raise ValueError("digits must be at least 1")
     eps = Fraction(1, 10 ** digits)

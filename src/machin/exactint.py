@@ -1,10 +1,9 @@
 """Exact unbounded-integer primitives.
 
-Floored, ceiling and nearest-integer division of integer ratios, the
-Gaussian-integer step that the generator and the fold share, a base-10
-logarithm estimate that stays accurate for integers with millions of
-digits without ever converting the full value to a machine float, and a
-decimal codec for integers of any size.
+An integer-fraction record, the Gaussian-integer step that the generator
+and the fold share, a base-10 logarithm estimate that stays accurate for
+integers with millions of digits without ever converting the full value
+to a machine float, and a decimal codec for integers of any size.
 
 The codec is subquadratic without gmpy2 (divide-and-conquer radix
 conversion, Brent & Zimmermann, *Modern Computer Arithmetic*, §1.7) and
@@ -14,7 +13,7 @@ built-in ``str()``/``int()`` conversions it makes are on pieces of at most
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, localcontext
 from functools import lru_cache
 
@@ -22,13 +21,10 @@ from ._bigint import HAVE_GMPY2, bigint
 
 __all__ = [
     "Ratio",
-    "ceil_div",
     "decimal_digits",
     "exceeds_digits",
-    "floor_div",
     "from_decimal_string",
     "log10_approx",
-    "nearest_int",
     "remainder_step",
     "to_decimal_string",
 ]
@@ -50,42 +46,20 @@ _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact])
 _SQUARE_RATIO = 64
 
 
-@dataclass(frozen=True)
-class Ratio:
+class Ratio(namedtuple("Ratio", "num den")):
     """An integer fraction num/den with den > 0 (the sign lives in num)."""
 
-    num: int
-    den: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.den == 0:
+    def __new__(cls, num, den):
+        if den == 0:
             raise ValueError("Ratio denominator must be nonzero")
-        if self.den < 0:
-            object.__setattr__(self, "num", -self.num)
-            object.__setattr__(self, "den", -self.den)
+        if den < 0:
+            num, den = -num, -den
+        return tuple.__new__(cls, (num, den))
 
-
-def _check_den(den) -> None:
-    if den <= 0:
-        raise ValueError("denominator must be positive")
-
-
-def floor_div(num, den):
-    """Largest integer r with r*den <= num. Requires den > 0."""
-    _check_den(den)
-    return num // den
-
-
-def ceil_div(num, den):
-    """Smallest integer r with r*den >= num, i.e. -floor(-num/den). Requires den > 0."""
-    _check_den(den)
-    return -((-num) // den)
-
-
-def nearest_int(num, den):
-    """Integer closest to num/den; exact halves round up. Requires den > 0."""
-    _check_den(den)
-    return (2 * num + den) // (2 * den)
+    # _replace builds through _make; send it through __new__'s checks
+    _make = classmethod(lambda cls, values: cls(*values))
 
 
 def remainder_step(x, y, q, s):

@@ -23,7 +23,7 @@ first remainder is still long next to q keep q*B + A.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from ._bigint import bigint
 from .errors import GenerationCutoffError
@@ -44,85 +44,87 @@ __all__ = [
 MODES = ("signed", "positive")
 
 
-@dataclass(frozen=True)
-class RemainderState:
+class RemainderState(namedtuple("RemainderState", "A B delta")):
     """The trailing term delta * arctan(A/B) left over during generation."""
 
-    A: int
-    B: int
-    delta: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.A < 0:
+    def __new__(cls, A, B, delta):
+        if A < 0:
             raise ValueError("remainder numerator A must be nonnegative")
-        if self.B <= 0:
+        if B <= 0:
             raise ValueError("remainder denominator B must be positive")
-        if self.delta not in (-1, 1):
+        if delta not in (-1, 1):
             raise ValueError("remainder sign delta must be -1 or +1")
+        return tuple.__new__(cls, (A, B, delta))
+
+    # _replace builds through _make; send it through __new__'s checks
+    _make = classmethod(lambda cls, values: cls(*values))
 
 
-@dataclass(frozen=True)
-class FormulaTerm:
+class FormulaTerm(namedtuple("FormulaTerm", "sign q coefficient")):
     """One term sign * coefficient * arctan(1/q) of an identity."""
 
-    sign: int
-    q: int
-    coefficient: int = 1
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.sign not in (-1, 1):
+    def __new__(cls, sign, q, coefficient=1):
+        if sign not in (-1, 1):
             raise ValueError("term sign must be -1 or +1")
-        if self.q < 1:
+        if q < 1:
             raise ValueError("term denominator q must be positive")
-        if self.coefficient < 1:
+        if coefficient < 1:
             raise ValueError("term coefficient must be at least 1")
+        return tuple.__new__(cls, (sign, q, coefficient))
+
+    _make = classmethod(lambda cls, values: cls(*values))
 
 
-@dataclass(frozen=True)
-class MachinFormula:
+class MachinFormula(namedtuple("MachinFormula", "q0 terms complete final_remainder mode")):
     """A generated identity: pi/4 = m*arctan(1/q0) + sum of signed terms.
 
+    ``terms`` is a tuple of FormulaTerm, the first being m*arctan(1/q0).
     ``complete`` means the remainder reached zero and the term list is an
     exact identity; otherwise the run was cut off and ``final_remainder``
-    (when available) holds the unconsumed tail.
+    (a RemainderState, when available) holds the unconsumed tail.
     """
 
-    q0: int
-    terms: tuple[FormulaTerm, ...]
-    complete: bool
-    final_remainder: RemainderState | None = None
-    mode: str = "signed"
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.terms:
+    def __new__(cls, q0, terms, complete, final_remainder=None, mode="signed"):
+        if not terms:
             raise ValueError("a formula needs at least one term")
-        first = self.terms[0]
-        if first.q != self.q0 or self.q0 < 2:
+        first = terms[0]
+        if first.q != q0 or q0 < 2:
             raise ValueError("the first term must be arctan(1/q0) with q0 >= 2")
         if first.sign != 1:
             raise ValueError("the first term is always positive")
-        for earlier, later in zip(self.terms, self.terms[1:]):
+        for earlier, later in zip(terms, terms[1:]):
             if later.coefficient != 1:
                 raise ValueError("only the first term may carry a coefficient")
             if later.q <= earlier.q:
                 raise ValueError("term denominators must strictly increase")
-        if self.complete and self.final_remainder is not None:
+        if complete and final_remainder is not None:
             raise ValueError("a complete formula has no remainder")
-        if self.mode not in MODES:
+        if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
+        return tuple.__new__(cls, (q0, terms, complete, final_remainder, mode))
+
+    _make = classmethod(lambda cls, values: cls(*values))
 
 
-@dataclass(frozen=True)
-class GenerationConfig:
-    mode: str = "signed"
-    partial: bool = False
-    max_digits: int = 1_000_000
+class GenerationConfig(namedtuple("GenerationConfig", "mode partial max_digits")):
+    """How generate() picks terms and when it stops (see generate)."""
 
-    def __post_init__(self):
-        if self.mode not in MODES:
+    __slots__ = ()
+
+    def __new__(cls, mode="signed", partial=False, max_digits=1_000_000):
+        if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
-        if self.max_digits < 1:
+        if max_digits < 1:
             raise ValueError("max_digits must be at least 1")
+        return tuple.__new__(cls, (mode, partial, max_digits))
+
+    _make = classmethod(lambda cls, values: cls(*values))
 
 
 def first_term_step(state, q0):

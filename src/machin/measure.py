@@ -7,18 +7,17 @@ contribution yields an upper bound for the true measure.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .exactint import log10_approx
 
 __all__ = ["LehmerResult", "lehmer_measure"]
 
 
-@dataclass(frozen=True)
-class LehmerResult:
-    value: float
-    is_upper_bound: bool
-    bound_3_over_lg_q0: float
+class LehmerResult(namedtuple("LehmerResult", "value is_upper_bound bound_3_over_lg_q0")):
+    """The measure (a float), whether it is an upper bound, and 3/lg(q0)."""
+
+    __slots__ = ()
 
 
 def lehmer_measure(formula) -> LehmerResult:

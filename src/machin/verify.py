@@ -17,7 +17,10 @@ fraction reduction is performed.
 
 ``check_identity`` is the check made before a loaded formula is trusted:
 it folds a complete formula or the prefix of a partial one and requires
-the fold to end on a positive multiple of the recorded remainder.
+the fold to end on a positive multiple of the recorded remainder. A
+complete formula's last factor only has to zero the imaginary part, and
+then the real part's sign is known without forming it, so the check skips
+the squaring of the largest q.
 
 ``float_sanity`` is the quick machine-precision cross check: the plain
 double sum 4*(m*atan(1/q0) + sum of s*atan(1/q)).
@@ -33,12 +36,16 @@ from .exactint import Ratio, remainder_step
 __all__ = ["check_identity", "float_sanity", "fold_formula"]
 
 
-def _fold(formula):
-    """R = (1+i) * conj(P) after every term, as its parts (x, y)."""
+def _fold(terms, last=True):
+    """R = (1+i) * conj(P) after every factor, as its parts (x, y).
+
+    With last=False the final factor of the final term is left out.
+    """
     x, y = bigint(1), bigint(1)
-    for term in formula.terms:
+    end = len(terms) - 1
+    for k, term in enumerate(terms):
         q, s = bigint(term.q), term.sign
-        for _ in range(term.coefficient):
+        for _ in range(term.coefficient if last or k < end else term.coefficient - 1):
             x, y = remainder_step(x, y, q, s)
             if x == -y:  # x + y == 0, without forming the sum
                 raise FoldError("fold passed through tangent pi/2 (zero denominator)")
@@ -57,7 +64,7 @@ def fold_formula(formula) -> Ratio:
     if not formula.complete:
         raise IncompleteFormulaError("cannot verify a partial formula as an identity")
     # x + y*i = (1+i)*(den - num*i): x = den + num, y = den - num
-    x, y = _fold(formula)
+    x, y = _fold(formula.terms)
     return Ratio(int((x - y) >> 1), int((x + y) >> 1))
 
 
@@ -71,13 +78,21 @@ def check_identity(formula) -> None:
     carries no remainder, FoldError when the check fails.
     """
     rem = formula.final_remainder
-    if not formula.complete and rem is None:
+    if rem is not None:
+        x, y = _fold(formula.terms)
+        b, a = rem.B, rem.delta * rem.A
+        if x * a != y * b or x * b + y * a <= 0:
+            raise FoldError("the fold does not end on the recorded remainder")
+        return
+    if not formula.complete:
         raise IncompleteFormulaError("a partial formula without its remainder cannot be checked")
-    b, a = (rem.B, rem.delta * rem.A) if rem is not None else (1, 0)
-    x, y = _fold(formula)
-    if x * a != y * b or x * b + y * a <= 0:
-        end = "tangent 1" if rem is None else "the recorded remainder"
-        raise FoldError(f"the fold does not end on {end}")
+    # The last factor must leave y' = q*y - s*x = 0, and then
+    # x' = q*x + s*y = s*(q*q + 1)*y: its sign is s*sign(y), so the
+    # squaring of the largest q that forming x' would take is skipped.
+    x, y = _fold(formula.terms, last=False)
+    q, s = bigint(formula.terms[-1].q), formula.terms[-1].sign
+    if q * y != s * x or s * y <= 0:
+        raise FoldError("the fold does not end on tangent 1")
 
 
 def float_sanity(formula) -> float:

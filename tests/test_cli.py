@@ -16,9 +16,10 @@ from machin.cli import (
     document_to_formula,
     formula_to_document,
     main,
+    render_text,
 )
 from machin.exactint import log10_approx, to_decimal_string
-from machin.generator import GenerationConfig, generate
+from machin.generator import FormulaTerm, GenerationConfig, MachinFormula, generate
 from machin.measure import lehmer_measure
 
 from reference_runs import REFERENCE_RUNS
@@ -245,6 +246,15 @@ class TestGenerateCommand:
         lines = out.strip().split("\n")
         assert lines[3] == "(-) Q 8886139"  # 7 digits, still printed in full
         assert lines[4] == f"(+) lg Q {log10_approx(2526830931360443)}"
+
+    @pytest.mark.parametrize("limit", [0, 19, 20, 21])
+    def test_display_digit_limit_boundary(self, limit):
+        qs = (10 ** 19, 10 ** 20 - 1, 10 ** 20)  # 20, 20 and 21 digits
+        f = MachinFormula(2, (FormulaTerm(1, 2),) + tuple(FormulaTerm(1, q) for q in qs), True)
+        lines = render_text(f, lehmer_measure(f), 0.0, limit).split("\n")
+        for line, q in zip(lines[1:], qs):
+            shown = f"lg Q {log10_approx(q)}" if len(str(q)) > limit else f"Q {q}"
+            assert line == "(+) " + shown
 
     def test_positive_mode(self, capsys):
         code, out, _ = run_cli(capsys, "generate", "2", "--mode", "positive")

@@ -14,16 +14,14 @@ from hypothesis import strategies as st
 import machin
 from machin.exactint import (
     Ratio,
-    ceil_div,
     decimal_digits,
     exceeds_digits,
-    floor_div,
     from_decimal_string,
     log10_approx,
-    nearest_int,
     remainder_step,
     to_decimal_string,
 )
+from machin.generator import _pick_positive, _pick_signed
 
 LOG10_2 = Decimal("0.30102999566398119521373889472449302676818988146210854131")
 
@@ -87,48 +85,53 @@ def run_fresh(code: str, limit: int) -> dict:
 
 
 class TestDivision:
+    """The rounding rules of the generator's term picks on B/A = num/den.
+
+    _pick_positive gives the ceiling and _pick_signed the nearest integer
+    (halves round up), each with whether den divides num.
+    """
+
     def test_floor_examples(self):
-        assert floor_div(7, 2) == 3
-        assert floor_div(-7, 2) == -4  # floor rounds toward -inf
-        assert floor_div(6, 3) == 2
+        # the floor is the ceiling, less one unless the division is exact
+        assert _pick_positive(2, 7) == (4, False)  # floor 3
+        assert _pick_positive(2, -7) == (-3, False)  # floor -4: toward -inf
+        assert _pick_positive(3, 6) == (2, True)  # floor 2
 
     def test_ceil_examples(self):
-        assert ceil_div(7, 2) == 4
-        assert ceil_div(6, 3) == 2
-        assert ceil_div(956, 4) == 239
+        assert _pick_positive(2, 7) == (4, False)
+        assert _pick_positive(3, 6) == (2, True)
+        assert _pick_positive(4, 956) == (239, True)
 
     def test_nearest_examples(self):
-        assert nearest_int(7, 2) == 4  # 3.5 ties up
-        assert nearest_int(956, 4) == 239  # exact
-        assert nearest_int(10, 4) == 3  # 2.5 ties up
-        assert nearest_int(-7, 2) == -3  # -3.5 ties up (toward +inf)
-
-    @pytest.mark.parametrize("op", [floor_div, ceil_div, nearest_int])
-    @pytest.mark.parametrize("den", [0, -1, -17])
-    def test_rejects_nonpositive_denominator(self, op, den):
-        with pytest.raises(ValueError):
-            op(5, den)
+        assert _pick_signed(2, 7) == (4, False)  # 3.5 ties up
+        assert _pick_signed(4, 956) == (239, True)  # exact
+        assert _pick_signed(4, 10) == (3, False)  # 2.5 ties up
+        assert _pick_signed(2, -7) == (-3, False)  # -3.5 ties up (toward +inf)
 
     @given(num=nums, den=dens)
     def test_floor_ceil_bracket(self, num, den):
-        lo, hi = floor_div(num, den), ceil_div(num, den)
+        hi, exact = _pick_positive(den, num)
+        assert exact == (num % den == 0)
+        lo = hi if exact else hi - 1
         assert lo * den <= num <= hi * den
-        assert hi - lo == (0 if num % den == 0 else 1)
+        assert (hi - 1) * den < num
 
     @given(num=nums, den=dens)
     def test_nearest_within_half(self, num, den):
-        r = nearest_int(num, den)
+        r, exact = _pick_signed(den, num)
         assert 2 * abs(r * den - num) <= den
+        assert exact == (r * den == num)
 
     @given(num=nums, den=dens)
     def test_nearest_picks_closer_candidate(self, num, den):
-        lo, hi = floor_div(num, den), ceil_div(num, den)
+        hi, exact = _pick_positive(den, num)
+        lo = hi if exact else hi - 1
         x = Fraction(num, den)
         if abs(lo - x) < abs(hi - x):
             expected = lo
         else:
             expected = hi  # includes the exact-half tie
-        assert nearest_int(num, den) == expected
+        assert _pick_signed(den, num)[0] == expected
 
 
 class TestRemainderStep:

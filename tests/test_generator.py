@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from machin.errors import GenerationCutoffError
-from machin.exactint import nearest_int
 from machin.generator import (
     FormulaTerm,
     GenerationConfig,
@@ -51,7 +50,7 @@ class TestFirstTerm:
         m, rem = find_first_term(7)
         assert m == 6
         assert rem.delta == -1
-        assert nearest_int(rem.B, rem.A) == 15  # next denominator
+        assert (2 * rem.B + rem.A) // (2 * rem.A) == 15  # next denominator: nearest to B/A
 
     def test_q10(self):
         m, rem = find_first_term(10)

@@ -53,6 +53,23 @@ def complete_formula(q0, m, signed_qs):
 
 # 3*arctan(1/2) + arctan(1/3) - arctan(1/7) = pi/2: (2+i)^3 (3+i)(7-i) = 250i
 THROUGH_PI_HALF = complete_formula(2, 3, [(1, 3), (-1, 7)])
+# Two sums of 5*pi/4, tangent 1 as well: the fold ends on a negative real,
+# after a last factor of either sign
+FIVE_PI_QUARTERS = [
+    complete_formula(2, 8, [(1, 5), (1, 49), (1, 110443)]),
+    complete_formula(3, 12, [(1, 15), (-1, 1712), (1, 8886139), (-1, 2526830931360443)]),
+]
+
+
+def ends_on_pi_quarter(formula):
+    """The tangent-addition fold ends on num == den > 0, never through den == 0."""
+    num, den = 0, 1
+    for term in formula.terms:
+        for _ in range(term.coefficient):
+            num, den = num * term.q + term.sign * den, den * term.q - term.sign * num
+            if den == 0:
+                return False
+    return num == den > 0
 
 
 @st.composite
@@ -144,6 +161,41 @@ class TestCheckIdentity:
             check_identity(complete_formula(5, 4, [(-1, 240)]))
         with pytest.raises(FoldError):
             check_identity(THROUGH_PI_HALF)
+
+    @pytest.mark.parametrize("formula", FIVE_PI_QUARTERS)
+    def test_fold_ending_on_negative_real_fails(self, formula):
+        ratio = fold_formula(formula)
+        assert ratio.num == ratio.den  # tangent 1, so only the sign tells
+        with pytest.raises(FoldError, match="does not end on tangent 1"):
+            check_identity(formula)
+
+    @pytest.mark.parametrize("change", ["q", "sign", "dropped", "extra"])
+    def test_tampered_last_term_fails(self, change):
+        f = generate(11)
+        *head, last = f.terms
+        terms = {
+            "q": [*head, FormulaTerm(last.sign, last.q + 1)],
+            "sign": [*head, FormulaTerm(-last.sign, last.q)],
+            "dropped": head,
+            "extra": [*head, last, FormulaTerm(1, 2 * last.q)],
+        }[change]
+        with pytest.raises(FoldError):
+            check_identity(MachinFormula(f.q0, tuple(terms), True, None, f.mode))
+
+    @given(forged_formulas())
+    @example(complete_formula(5, 4, [(-1, 239)]))
+    @example(complete_formula(2, 1, [(1, 3)]))
+    @example(complete_formula(2, 2, [(-1, 7)]))
+    @example(THROUGH_PI_HALF)
+    @example(FIVE_PI_QUARTERS[0])
+    @example(FIVE_PI_QUARTERS[1])
+    def test_complete_check_matches_full_fold(self, formula):
+        try:
+            check_identity(formula)
+        except FoldError:
+            assert not ends_on_pi_quarter(formula)
+        else:
+            assert ends_on_pi_quarter(formula)
 
     @pytest.mark.parametrize("change", ["A", "B", "delta", "scaled", "negated"])
     def test_tampered_remainder_fails(self, change):
