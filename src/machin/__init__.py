@@ -14,7 +14,7 @@ from .errors import (
     MachinError,
     PrecisionUnachievableError,
 )
-from .evaluator import FixedPoint, PrecisionBudget, arctan_recip_fixed, compute_pi, plan_budget
+from .evaluator import PrecisionBudget, arctan_recip_fixed, compute_pi, plan_budget
 from .exactint import Ratio, log10_approx
 from .generator import (
     FormulaTerm,
@@ -33,7 +33,6 @@ from .verify import float_sanity, fold_formula
 __version__ = "0.1.0"
 
 __all__ = [
-    "FixedPoint",
     "FoldError",
     "FormulaTerm",
     "GenerationConfig",

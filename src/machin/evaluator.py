@@ -2,9 +2,10 @@
 
 The plan splits the requested error eps = 10^-digits into a tail cut eps1
 (terms small enough to drop) and a per-arctangent Maclaurin allowance
-eps2, then finds the shortest series length K for every kept term. All
-threshold comparisons are exact integer cross-multiplications; nothing is
-decided by floating point.
+eps2, then finds the shortest series length K for every kept term. With
+T = 10^digits both are unit fractions, so every threshold is an integer
+comparison; a floating-point estimate only proposes each K, and exact
+comparisons confirm it.
 
 Evaluation runs in fixed point: integer mantissas at a common power-of-ten
 scale with guard digits, every division floored. The final digit string is
@@ -14,25 +15,19 @@ with a finer budget.
 """
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 
 from ._bigint import bigint
 from .errors import PrecisionUnachievableError
-from .exactint import decimal_digits, to_decimal_string
+from .exactint import log10_approx, to_decimal_string
 
 __all__ = [
-    "FixedPoint",
     "PrecisionBudget",
     "arctan_recip_fixed",
     "compute_pi",
     "plan_budget",
 ]
-
-
-class FixedPoint(namedtuple("FixedPoint", "mantissa scale")):
-    """An exact decimal fixed-point value: mantissa * 10^-scale."""
-
-    __slots__ = ()
 
 
 class PrecisionBudget(namedtuple(
@@ -47,56 +42,61 @@ class PrecisionBudget(namedtuple(
     __slots__ = ()
 
 
+def _series_length(q, bound, lg_bound):
+    """Least K >= 0 with (2K+3) * q^(2K+3) > bound; lg_bound ~ log10(bound)."""
+    lg_q = log10_approx(q)
+    j = lg_bound / lg_q  # solve j*lg q + lg j = lg bound for j = 2K+3
+    K = max(0, math.ceil(((lg_bound - math.log10(j)) / lg_q - 3) / 2))
+    while K and (2 * K + 1) * q ** (2 * K + 1) > bound:
+        K -= 1
+    while (2 * K + 3) * q ** (2 * K + 3) <= bound:
+        K += 1
+    return K
+
+
 def plan_budget(formula, digits: int) -> PrecisionBudget:
     """Pick the terms and Maclaurin lengths needed for 10^-digits accuracy.
 
-    Terms are kept up to the first one with 1/q < eps1; everything from
-    that term on (including anything never generated) is covered by the
-    tail bound, because the remainder the formula left behind at the cut
-    is exactly the sum of all dropped terms. A partial formula whose last
-    term is still too small to anchor the cut cannot reach the requested
-    precision and is rejected.
+    With T = 10^digits, eps = 1/T, eps1 = eps/(2 + eps) = 1/(2T + 1) and
+    eps2 = eps1/((1 - eps1)*n) = 1/(2T*n), where n = m + cut - 1 counts the
+    kept arctangents. Terms are kept up to the first one with 1/q < eps1.
+    What is dropped, the later terms and a partial formula's remainder
+    delta*arctan(A/B), weighs at most sum(1/q) + A/B because
+    |arctan x| <= |x|; while that bound, rounded up to eps1/2^64, is not
+    below eps1, the next term is kept as well. A partial formula must drop
+    at least one term and record its remainder, or it cannot reach the
+    requested precision and is rejected.
     """
-    from fractions import Fraction  # its only user; kept out of `import machin`
+    from fractions import Fraction  # only builds the three tolerances
 
     if digits < 1:
         raise ValueError("digits must be at least 1")
-    eps = Fraction(1, 10 ** digits)
-    eps1 = eps / (2 + eps)
-    terms = formula.terms
-
-    cut = len(terms)
-    for k in range(1, len(terms)):  # the leading term is always kept
-        # exclude from the first term with 1/q < eps1
-        if terms[k].q * eps1.numerator > eps1.denominator:
-            cut = k
+    T = 10 ** digits
+    terms, rem = formula.terms, formula.final_remainder
+    cut = next((k for k in range(1, len(terms)) if terms[k].q > 2 * T + 1), len(terms))
+    unit = (2 * T + 1) << 64  # weights in eps1/2^64, rounded up
+    dropped = [-(-unit // term.q) for term in terms[cut:]]
+    tail = sum(dropped) + (-(-rem.A * unit // rem.B) if rem is not None else 0)
+    for weight in dropped:
+        if tail < 1 << 64:
             break
-    if not formula.complete and cut == len(terms):
+        tail -= weight
+        cut += 1
+    if not formula.complete and (rem is None or cut == len(terms)):
         raise PrecisionUnachievableError(
-            f"partial formula ends at a {decimal_digits(terms[-1].q)}-digit term; "
-            f"too short to bound the tail below 10^-{digits}"
-        )
-
-    m = terms[0].coefficient
-    eps2 = eps1 / ((1 - eps1) * (m + cut - 1))
-    lengths = []
-    for term in terms[:cut]:
-        q = bigint(term.q)
-        power = q ** 3  # q^(2K+3) at K = 0
-        K = 0
-        # smallest K with 1/((2K+3)*q^(2K+3)) < eps2, cross-multiplied
-        while (2 * K + 3) * power * eps2.numerator <= eps2.denominator:
-            K += 1
-            power *= q * q
-        lengths.append(K)
-    return PrecisionBudget(eps, eps1, eps2, cut, tuple(lengths))
+            f"partial formula is too short to bound the tail below 10^-{digits}")
+    n = terms[0].coefficient + cut - 1
+    lg_bound = digits + math.log10(2 * n)
+    lengths = tuple(_series_length(bigint(term.q), 2 * T * n, lg_bound) for term in terms[:cut])
+    return PrecisionBudget(Fraction(1, T), Fraction(1, 2 * T + 1), Fraction(1, 2 * T * n),
+                           cut, lengths)
 
 
-def arctan_recip_fixed(q, K: int, scale: int) -> FixedPoint:
-    """Maclaurin value of arctan(1/q) with K+1 terms at the given scale.
+def arctan_recip_fixed(q, K: int, scale: int) -> int:
+    """Maclaurin value of arctan(1/q) with K+1 terms, as a mantissa at 10^-scale.
 
-    Every term is a floored division, so the result differs from the true
-    arctangent by less than 1/((2K+3)*q^(2K+3)) + (K+1)*10^-scale.
+    Every term is a floored division, so mantissa * 10^-scale differs from
+    the true arctangent by less than 1/((2K+3)*q^(2K+3)) + (K+1)*10^-scale.
     """
     if q < 2:
         raise ValueError("arctan_recip_fixed requires q >= 2")
@@ -112,7 +112,7 @@ def arctan_recip_fixed(q, K: int, scale: int) -> FixedPoint:
         mantissa = mantissa - piece if k & 1 else mantissa + piece
         if k < K:
             power *= q_sq
-    return FixedPoint(int(mantissa), scale)
+    return int(mantissa)
 
 
 def compute_pi(formula, digits: int) -> str:
@@ -134,8 +134,7 @@ def compute_pi(formula, digits: int) -> str:
         acc = 0
         floor_ops = 0
         for term, K in zip(formula.terms[: budget.accepted_terms], budget.maclaurin_lengths):
-            part = arctan_recip_fixed(term.q, K, scale)
-            acc += term.sign * term.coefficient * part.mantissa
+            acc += term.sign * term.coefficient * arctan_recip_fixed(term.q, K, scale)
             floor_ops += term.coefficient * (K + 1)
         value = 4 * acc
         # 4x the budgeted series error plus 4x one floored ulp per division

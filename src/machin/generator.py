@@ -1,11 +1,12 @@
 """Machin-like identity generation via exact integer recurrences.
 
 Starting from arctan(1) = pi/4, the generator first finds the multiplier m
-for the leading term m*arctan(1/q0) by following the integer pair
-(a, b) -> (q0*a - b, q0*b + a) until the numerator changes sign, then keeps
-splitting single arctangent terms off the remainder arctan(A/B) until it
-vanishes (a complete identity) or a digit budget stops the run (a partial
-identity). Two term-selection rules are supported:
+for the leading term m*arctan(1/q0): it estimates m from below, forms the
+remainder b + a*i = (1+i)*(q0 - i)^m with one Gaussian power, and follows
+the integer pair (a, b) -> (q0*a - b, q0*b + a) until the numerator changes
+sign. It then keeps splitting single arctangent terms off the remainder
+arctan(A/B) until it vanishes (a complete identity) or a digit budget stops
+the run (a partial identity). Two term-selection rules are supported:
 
 * ``signed``   -- q is the nearest integer to B/A; the remainder numerator
                   at least halves per step and term signs may alternate.
@@ -134,14 +135,31 @@ def first_term_step(state, q0):
     return a2, b2
 
 
+# floor(pi/4 * 2^64); c = this / 2^64 is at most pi/4 and arctan(1/q0) < 1/q0,
+# so floor(c*q0) is below pi/(4*arctan(1/q0)) and never overshoots m
+_PI_QUARTER_Q64 = 0xC90FDAA22168C234
+
+
+def _first_remainder(q0, m):
+    """(b, a) with b + a*i = (1+i) * (q0 - i)^m, by one Gaussian power."""
+    x, y = bigint(1), bigint(0)
+    for bit in bin(m)[2:]:
+        x, y = (x + y) * (x - y), 2 * x * y
+        if bit == "1":
+            x, y = remainder_step(x, y, q0, 1)
+    return x - y, x + y
+
+
 def _first_term_floor(q0):
     """Subtract arctan(1/q0) while the remainder stays positive.
 
     Returns (m, a, b, a_next, b_next) for the largest m whose remainder
     arctan(a/b) is still positive; (a_next, b_next) is the very next step,
-    where the numerator has turned negative.
+    where the numerator has turned negative. The walk starts at a lower
+    bound on m, at most 2 + q0/2^64 steps short, instead of at zero.
     """
-    m, a, b = 0, bigint(1), bigint(1)
+    m = q0 * _PI_QUARTER_Q64 >> 64
+    b, a = _first_remainder(q0, m)
     while True:
         b_next, a_next = remainder_step(b, a, q0, 1)
         if a_next < 0:

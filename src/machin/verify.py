@@ -20,7 +20,9 @@ it folds a complete formula or the prefix of a partial one and requires
 the fold to end on a positive multiple of the recorded remainder. A
 complete formula's last factor only has to zero the imaginary part, and
 then the real part's sign is known without forming it, so the check skips
-the squaring of the largest q.
+the squaring of the largest q. The fold fixes the sum of the arctangents
+only modulo 2*pi, so the check also encloses that sum and requires it to
+lie within 2*pi of pi/4.
 
 ``float_sanity`` is the quick machine-precision cross check: the plain
 double sum 4*(m*atan(1/q0) + sum of s*atan(1/q)).
@@ -53,13 +55,16 @@ def _fold(terms, last=True):
 
 
 def fold_formula(formula) -> Ratio:
-    """Fold a complete formula into one arctangent; identity iff num == den.
+    """Fold a complete formula into one arctangent, the tangent num/den.
 
     Starts from arctan(0/1) and adds the first term coefficient-many
     times, then each signed term. Raises FoldError if a fold ever lands
     exactly on a zero denominator (tangent through pi/2), which cannot
     happen for formulas produced by the generator. The result equals the
     plain tangent-addition fold num/den exactly, without reduction.
+    An identity folds to num == den, but so does a sum of 5*pi/4 (the
+    Ratio carries the sign in num) or of 9*pi/4: ``check_identity``, not
+    this tangent, decides whether a formula is an identity.
     """
     if not formula.complete:
         raise IncompleteFormulaError("cannot verify a partial formula as an identity")
@@ -68,24 +73,51 @@ def fold_formula(formula) -> Ratio:
     return Ratio(int((x - y) >> 1), int((x + y) >> 1))
 
 
+def _check_branch(formula):
+    """Raise FoldError unless the formula sums to within 2*pi of pi/4.
+
+    Each c*arctan(x), with x = 1/q or a remainder's A/B, is enclosed by
+    x - x^3/3 <= arctan x <= x after rounding x to 2^-64 both ways. As
+    pi > 3, the values pi/4 - 2*pi and pi/4 + 2*pi lie outside
+    [-21/4, 27/4], so a sum enclosed in that interval that is congruent
+    to pi/4 modulo 2*pi is pi/4.
+    """
+    rem = formula.final_remainder
+    parts = [(term.sign * term.coefficient, 1, term.q) for term in formula.terms]
+    if rem is not None:
+        parts.append((rem.delta, rem.A, rem.B))
+    lo = hi = 0  # bounds on the sum, in units of 2^-192
+    for c, a, b in parts:
+        x = (a << 64) // b  # a/b lies in [x, x + 1) * 2^-64
+        # x*2^-64 - (x + 1)^3*2^-192/3 rounded down, and (x + 1)*2^-64
+        lower, upper = (x << 128) + (-(x + 1) ** 3 // 3), (x + 1) << 128
+        if c < 0:
+            lower, upper = upper, lower
+        lo, hi = lo + c * lower, hi + c * upper
+    if 4 * lo <= -21 << 192 or 4 * hi >= 27 << 192:
+        raise FoldError("the terms do not sum to within 2*pi of pi/4")
+
+
 def check_identity(formula) -> None:
     """Raise unless the formula plus its remainder is exactly pi/4.
 
     A complete formula must fold to a positive real R (tangent 1 with a
     positive denominator). A partial one must fold to a positive multiple
     of its final remainder B + delta*A*i: cross product zero, dot product
-    positive. Raises IncompleteFormulaError for a partial formula that
-    carries no remainder, FoldError when the check fails.
+    positive. Either way the sum must also lie within 2*pi of pi/4, which
+    the fold alone cannot tell. Raises IncompleteFormulaError for a partial
+    formula that carries no remainder, FoldError when the check fails.
     """
     rem = formula.final_remainder
+    if rem is None and not formula.complete:
+        raise IncompleteFormulaError("a partial formula without its remainder cannot be checked")
+    _check_branch(formula)
     if rem is not None:
         x, y = _fold(formula.terms)
         b, a = rem.B, rem.delta * rem.A
         if x * a != y * b or x * b + y * a <= 0:
             raise FoldError("the fold does not end on the recorded remainder")
         return
-    if not formula.complete:
-        raise IncompleteFormulaError("a partial formula without its remainder cannot be checked")
     # The last factor must leave y' = q*y - s*x = 0, and then
     # x' = q*x + s*y = s*(q*q + 1)*y: its sign is s*sign(y), so the
     # squaring of the largest q that forming x' would take is skipped.

@@ -22,6 +22,7 @@ from machin.exactint import log10_approx, to_decimal_string
 from machin.generator import FormulaTerm, GenerationConfig, MachinFormula, generate
 from machin.measure import lehmer_measure
 
+from forged import nine_pi_quarters, with_fold_remainder
 from reference_runs import REFERENCE_RUNS
 
 needs_int_str_limit = pytest.mark.skipif(
@@ -363,6 +364,16 @@ class TestPiCommand:
         assert code == EXIT_PARTIAL_NOT_VERIFIABLE
         assert out == "" and "remainder" in err
 
+    def test_forged_tail_gets_no_digits(self, capsys, tmp_path):
+        # passes the identity check; its remainder (about -0.0042) is not
+        # below its last term, 1/10^30, as a generated one would be
+        forged = with_fold_remainder([FormulaTerm(1, 5, 4), FormulaTerm(1, 10 ** 30)])
+        path = tmp_path / "forged.json"
+        path.write_text(json.dumps(v2_document(forged)), encoding="utf-8")
+        code, out, err = run_cli(capsys, "pi", "--formula", str(path), "--digits", "20")
+        assert code == EXIT_PRECISION
+        assert out == "" and "tail" in err
+
     def test_bad_inputs(self, capsys):
         assert run_cli(capsys, "pi", "--q0", "5", "--digits", "0")[0] == EXIT_BAD_INPUT
         assert run_cli(capsys, "pi", "--q0", "1", "--digits", "5")[0] == EXIT_BAD_INPUT
@@ -395,13 +406,35 @@ class TestVerifyCommand:
         assert out == "" and "identity" in err
 
     def test_partial_not_verifiable(self, capsys, tmp_path):
-        _, out, _ = run_cli(capsys, "generate", "7", "--partial", "--max-digits", "3",
+        # only a partial formula that records no remainder (schema 1) is
+        formula = generate(7, GenerationConfig(partial=True, max_digits=3))
+        path = tmp_path / "partial.json"
+        path.write_text(json.dumps(v1_document(formula)), encoding="utf-8")
+        code, out, err = run_cli(capsys, "verify", "--formula", str(path))
+        assert code == EXIT_PARTIAL_NOT_VERIFIABLE
+        assert out == "" and "partial" in err and "remainder" in err
+
+    @pytest.mark.parametrize("q0, digits", [("7", "3"), ("12", "80"), ("100", "400")])
+    def test_partial_document_verifies(self, capsys, tmp_path, q0, digits):
+        _, out, _ = run_cli(capsys, "generate", q0, "--partial", "--max-digits", digits,
                             "--format", "json")
+        assert not json.loads(out)["complete"]
         path = tmp_path / "partial.json"
         path.write_text(out, encoding="utf-8")
-        code, _, err = run_cli(capsys, "verify", "--formula", str(path))
-        assert code == EXIT_PARTIAL_NOT_VERIFIABLE
-        assert "partial" in err
+        assert run_cli(capsys, "verify", "--formula", str(path)) == (EXIT_OK, "IDENTITY OK\n", "")
+
+    @pytest.mark.parametrize("verb", [["verify"], ["pi", "--digits", "20"]])
+    @pytest.mark.parametrize("complete", [True, False])
+    def test_nine_pi_quarters_fails(self, capsys, tmp_path, verb, complete):
+        # tangent 1 and a fold that lands on the right ray, one turn too far
+        formula = nine_pi_quarters()
+        if not complete:
+            formula = with_fold_remainder(formula.terms[:5])
+        path = tmp_path / "nine.json"
+        path.write_text(json.dumps(v2_document(formula)), encoding="utf-8")
+        code, out, err = run_cli(capsys, verb[0], "--formula", str(path), *verb[1:])
+        assert code == EXIT_IDENTITY_FAILED
+        assert out == "" and "2*pi" in err
 
     def test_requires_exactly_one_source(self, capsys, tmp_path):
         assert run_cli(capsys, "verify")[0] == EXIT_BAD_INPUT

@@ -1,15 +1,19 @@
 import json
+import math
 import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from machin.errors import PrecisionUnachievableError
-from machin.evaluator import arctan_recip_fixed, compute_pi, plan_budget
-from machin.generator import GenerationConfig, generate
+from machin.evaluator import _series_length, arctan_recip_fixed, compute_pi, plan_budget
+from machin.generator import FormulaTerm, GenerationConfig, generate
+from machin.verify import check_identity
+
+from forged import with_fold_remainder
 
 
 needs_int_str_limit = pytest.mark.skipif(
@@ -20,6 +24,21 @@ needs_int_str_limit = pytest.mark.skipif(
 def maclaurin_error_small_enough(q, K, eps2: Fraction) -> bool:
     """Independent check of 1/((2K+3)*q^(2K+3)) < eps2, in exact rationals."""
     return Fraction(1, (2 * K + 3) * q ** (2 * K + 3)) < eps2
+
+
+def plain_series_length(q, bound):
+    """Least K with (2K+3) * q^(2K+3) > bound, one K at a time."""
+    K, power = 0, q ** 3
+    while (2 * K + 3) * power <= bound:
+        K += 1
+        power *= q * q
+    return K
+
+
+# 4*arctan(1/5) + arctan(1/10^30) with the remainder its fold leaves: the
+# identity check passes, but the remainder, about -0.0042, is nowhere near
+# smaller than the last term
+FORGED_TAIL = with_fold_remainder([FormulaTerm(1, 5, 4), FormulaTerm(1, 10 ** 30)])
 
 
 class TestPlanBudget:
@@ -76,25 +95,79 @@ class TestPlanBudget:
         with pytest.raises(ValueError):
             plan_budget(generate(5), 0)
 
+    def test_partial_formula_without_remainder(self):
+        f = generate(10, GenerationConfig(partial=True, max_digits=20))
+        plan_budget(f, 5)
+        with pytest.raises(PrecisionUnachievableError):
+            plan_budget(f._replace(final_remainder=None), 5)
+
+    @pytest.mark.parametrize("digits", [1, 5, 20, 40])
+    def test_forged_tail_gets_no_digits(self, digits):
+        check_identity(FORGED_TAIL)
+        with pytest.raises(PrecisionUnachievableError):
+            compute_pi(FORGED_TAIL, digits)
+
+    def test_forged_tail_bounded_at_low_precision(self):
+        # eps1 = 1/21 at one digit is above 1/10^30 + 0.0042: the cut stands
+        assert plan_budget(FORGED_TAIL, 1).accepted_terms == 1
+
+    def test_keeps_the_next_term_when_the_tail_bound_fails(self):
+        # Machin's pi/4 plus arctan(1/Q) - arctan(1/10^40), Q = 1.001 * E and
+        # E = 2*10^30 + 1: the cut falls before Q, but with |A/B| about
+        # 1/Q - 1/10^40 the dropped weight is about 2/Q, not below 1/E, and
+        # after keeping Q it is about 1/Q, which is
+        E = 2 * 10 ** 30 + 1
+        machin = generate(5).terms
+        f = with_fold_remainder([*machin, FormulaTerm(1, E + E // 1000), FormulaTerm(-1, 10 ** 40)])
+        check_identity(f)
+        assert plan_budget(f, 30).accepted_terms == 3
+        assert compute_pi(f, 28) == compute_pi(generate(5), 28)
+
+
+class TestSeriesLength:
+    @given(q=st.one_of(st.integers(2, 100), st.integers(2, 10 ** 40)),
+           digits=st.integers(1, 3000), n=st.integers(1, 10 ** 4))
+    @example(q=2, digits=3000, n=1)
+    @example(q=10 ** 40, digits=1, n=1)
+    @settings(max_examples=60)
+    def test_matches_plain_loop(self, q, digits, n):
+        # the bound plan_budget passes: 1/eps2 = 2 * 10^digits * n
+        bound = 2 * 10 ** digits * n
+        assert _series_length(q, bound, digits + math.log10(2 * n)) == plain_series_length(q, bound)
+
+    @pytest.mark.parametrize("q", [2, 3, 10, 239])
+    @pytest.mark.parametrize("K", [0, 1, 5, 40])
+    def test_ties_need_one_more_term(self, q, K):
+        # (2K+3) * q^(2K+3) equal to the bound is not above it
+        bound = (2 * K + 3) * q ** (2 * K + 3)
+        lg_bound = math.log10(bound)
+        assert _series_length(q, bound, lg_bound) == K + 1
+        assert _series_length(q, bound - 1, lg_bound) == K
+
+    @pytest.mark.parametrize("error", [-3.0, -0.5, 0.5, 3.0])
+    def test_exact_steps_correct_a_wrong_estimate(self, error):
+        # lg_bound only seeds the estimate; the exact comparisons decide
+        for q, digits in ((2, 50), (239, 1000), (10 ** 12, 300)):
+            bound = 2 * 10 ** digits * 7
+            expected = plain_series_length(q, bound)
+            assert _series_length(q, bound, digits + math.log10(14) + error) == expected
+
 
 class TestArctanFixed:
     def test_one_term_239(self):
-        fp = arctan_recip_fixed(239, 0, 10)
-        assert fp.mantissa == 41841004  # floor(10^10 / 239)
-        assert fp.scale == 10
+        assert arctan_recip_fixed(239, 0, 10) == 41841004  # floor(10^10 / 239)
 
     def test_tenth_is_exact(self):
         for scale in (1, 5, 30):
-            fp = arctan_recip_fixed(10, 0, scale)
-            assert Fraction(fp.mantissa, 10 ** fp.scale) == Fraction(1, 10)
+            assert Fraction(arctan_recip_fixed(10, 0, scale), 10 ** scale) == Fraction(1, 10)
 
     def test_q5_bracketed_by_cubic_corollary(self):
-        value = Fraction(arctan_recip_fixed(5, 40, 30).mantissa, 10 ** 30)
+        value = Fraction(arctan_recip_fixed(5, 40, 30), 10 ** 30)
         assert Fraction(1, 5) - Fraction(1, 375) < value < Fraction(1, 5)
 
     @pytest.mark.parametrize("q", [2, 3, 7, 10, 50])
     def test_converged_value_within_cubic_corollary(self, q):
-        value = Fraction(arctan_recip_fixed(q, 30, 60).mantissa, 10 ** 60)
+        value = Fraction(arctan_recip_fixed(q, 30, 60), 10 ** 60)
         assert Fraction(1, q) - Fraction(1, 3 * q ** 3) < value < Fraction(1, q)
 
     @given(q=st.integers(min_value=2, max_value=10 ** 6),
@@ -102,8 +175,8 @@ class TestArctanFixed:
            scale=st.integers(min_value=5, max_value=80))
     @settings(max_examples=60)
     def test_successive_lengths_bracket(self, q, K, scale):
-        shorter = arctan_recip_fixed(q, K, scale).mantissa
-        longer = arctan_recip_fixed(q, K + 1, scale).mantissa
+        shorter = arctan_recip_fixed(q, K, scale)
+        longer = arctan_recip_fixed(q, K + 1, scale)
         if K % 2 == 0:  # term K+1 is subtracted
             assert longer <= shorter
         else:

@@ -5,7 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from machin.errors import GenerationCutoffError
+from machin.evaluator import compute_pi
 from machin.generator import (
+    _PI_QUARTER_Q64,
     FormulaTerm,
     GenerationConfig,
     MachinFormula,
@@ -56,6 +58,27 @@ class TestFirstTerm:
         m, rem = find_first_term(10)
         assert m == 8
         assert rem.delta == -1
+
+    @pytest.mark.parametrize("offset", range(30))
+    def test_matches_plain_walk(self, offset):
+        # q0 = 2..3000 in thirty interleaved slices of like cost
+        for q0 in range(2 + offset, 3001, 30):
+            m, a, b = _floor_first(q0)
+            a2, b2 = q0 * a - b, q0 * b + a
+            if a * b2 + b * a2 > 0:
+                assert find_first_term(q0) == (m + 1, RemainderState(-a2, b2, -1))
+            else:
+                assert find_first_term(q0) == (m, RemainderState(a, b, 1))
+            positive = generate(q0, GenerationConfig(mode="positive", partial=True, max_digits=1))
+            assert positive.terms[:2] == (FormulaTerm(1, q0, m), FormulaTerm(1, -(-b // a)))
+
+    def test_walk_starts_at_or_below_m(self):
+        # the walk starts at floor(c*q0), c = _PI_QUARTER_Q64 / 2^64; that is
+        # at most m only if c <= pi/4, and within a step of pi*q0/4 for
+        # q0 < 2^64 only if pi/4 < c + 2^-64
+        pi_lo = Fraction(compute_pi(generate(5), 40))
+        pi_hi = pi_lo + Fraction(1, 10 ** 40)
+        assert pi_hi * 2 ** 62 - 1 < _PI_QUARTER_Q64 <= pi_lo * 2 ** 62
 
     @pytest.mark.parametrize("bad", [1, 0, -3])
     def test_rejects_q0_below_2(self, bad):
@@ -138,10 +161,12 @@ class TestPositiveStep:
 def _floor_first(q0):
     a = b = 1
     m = 0
-    while a * q0 >= b:
-        a, b = q0 * a - b, q0 * b + a
+    while True:
+        a2 = q0 * a - b
+        if a2 < 0:
+            return m, a, b
+        a, b = a2, q0 * b + a
         m += 1
-    return m, a, b
 
 
 def plain_run(q0, mode="signed", max_digits=1_000_000):

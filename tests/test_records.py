@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import machin
-from machin.evaluator import FixedPoint, PrecisionBudget, arctan_recip_fixed, plan_budget
+from machin.evaluator import PrecisionBudget, plan_budget
 from machin.exactint import Ratio
 from machin.generator import (
     FormulaTerm,
@@ -37,7 +37,6 @@ RECORDS = [
     PARTIAL,
     GenerationConfig(mode="positive", partial=True, max_digits=50),
     lehmer_measure(PARTIAL),
-    arctan_recip_fixed(239, 3, 40),
     plan_budget(MACHIN, 30),
 ]
 RECORD_IDS = [type(r).__name__ for r in RECORDS]
@@ -50,7 +49,6 @@ FIELDS = {
     MachinFormula: ("q0", "terms", "complete", "final_remainder", "mode"),
     GenerationConfig: ("mode", "partial", "max_digits"),
     LehmerResult: ("value", "is_upper_bound", "bound_3_over_lg_q0"),
-    FixedPoint: ("mantissa", "scale"),
     PrecisionBudget: ("epsilon", "epsilon1", "epsilon2", "accepted_terms", "maclaurin_lengths"),
 }
 

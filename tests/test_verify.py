@@ -16,6 +16,7 @@ from machin.generator import (
 )
 from machin.verify import check_identity, float_sanity, fold_formula
 
+from forged import nine_pi_quarters, with_fold_remainder
 from reference_runs import REFERENCE_RUNS
 
 
@@ -62,14 +63,15 @@ FIVE_PI_QUARTERS = [
 
 
 def ends_on_pi_quarter(formula):
-    """The tangent-addition fold ends on num == den > 0, never through den == 0."""
+    """The tangent-addition fold ends on num == den > 0, never through den == 0,
+    and the double sum is near pi/4, not another angle with the same tangent."""
     num, den = 0, 1
     for term in formula.terms:
         for _ in range(term.coefficient):
             num, den = num * term.q + term.sign * den, den * term.q - term.sign * num
             if den == 0:
                 return False
-    return num == den > 0
+    return num == den > 0 and abs(float_sanity(formula) - math.pi) < 1
 
 
 @st.composite
@@ -168,6 +170,26 @@ class TestCheckIdentity:
         assert ratio.num == ratio.den  # tangent 1, so only the sign tells
         with pytest.raises(FoldError, match="does not end on tangent 1"):
             check_identity(formula)
+
+    def test_sum_of_nine_pi_quarters_fails(self):
+        f = nine_pi_quarters()
+        assert len(f.terms) == 19
+        ratio = fold_formula(f)
+        assert ratio.num == ratio.den  # tangent 1: only the branch check tells
+        with pytest.raises(FoldError, match="2[*]pi"):
+            check_identity(f)
+        # the same sum as a partial formula: 36*arctan(1/5) + 4 terms + remainder
+        with pytest.raises(FoldError, match="2[*]pi"):
+            check_identity(with_fold_remainder(f.terms[:5]))
+
+    def test_branch_enclosure_contains_the_sum(self):
+        # 85*arctan(1/10) - arctan(3) is about 7.22, above 27/4. The bounds
+        # that swap for the negative part, x - x^3/3 <= arctan 3 <= 3, are
+        # what keep it out: 8.5 - (3 - 9) >= 27/4, while 8.5 - 3 would not be
+        f = MachinFormula(10, (FormulaTerm(1, 10, 85),), False, RemainderState(3, 1, -1))
+        assert float_sanity(f) / 4 - math.atan(3) > 27 / 4
+        with pytest.raises(FoldError, match="2[*]pi"):
+            check_identity(f)
 
     @pytest.mark.parametrize("change", ["q", "sign", "dropped", "extra"])
     def test_tampered_last_term_fails(self, change):
