@@ -128,7 +128,12 @@ def compute_pi(formula, digits: int) -> str:
         raise ValueError("digits must be at least 1")
     target = digits + 2
     for _ in range(64):
-        budget = plan_budget(formula, target)
+        try:
+            budget = plan_budget(formula, target)
+        except PrecisionUnachievableError as exc:  # its message names target, not digits
+            raise PrecisionUnachievableError(
+                f"partial formula is too short to bound the tail for 10^-{digits} accuracy"
+            ) from exc
         ops = sum(k + 1 for k in budget.maclaurin_lengths)
         scale = target + 10 + len(str(ops))
         acc = 0

@@ -1,9 +1,14 @@
 """Exact unbounded-integer primitives.
 
 An integer-fraction record, the Gaussian-integer step that the generator
-and the fold share, a base-10 logarithm estimate that stays accurate for
-integers with millions of digits without ever converting the full value
+and the fold share, a base-10 logarithm that is correctly rounded to a
+double for integers of any size without ever converting the full value
 to a machine float, and a decimal codec for integers of any size.
+
+The logarithm runs in integer fixed point at 2^-128 (an atanh series and
+two rounded constants) and keeps a proven error interval; only when that
+interval straddles a rounding boundary of doubles does it fall back to
+50-digit ``decimal`` arithmetic.
 
 The codec is subquadratic without gmpy2 (divide-and-conquer radix
 conversion, Brent & Zimmermann, *Modern Computer Arithmetic*, §1.7) and
@@ -32,6 +37,11 @@ __all__ = [
 # 56 digits of log10(2); enough that shift * LOG10_2 stays exact far below
 # the final double rounding even for billion-bit inputs.
 _LOG10_2 = Decimal("0.30102999566398119521373889472449302676818988146210854131")
+# log10(2) and ln(10) at 2^-128, each rounded to the nearest integer
+_LOG10_2_Q128 = 0x4D104D427DE7FBCC47C4ACD605BE48BC
+_LN10_Q128 = 0x24D763776AAA2B05BA95B58AE0B4C28A4
+# bounds the error of _log10_head's series (under 112 units of 2^-128)
+_SERIES_ERR = 128
 
 # Largest pieces the codec hands to the built-in str()/int(): 2**2126 < 10**640,
 # and 640 digits is the lowest int/str limit an interpreter accepts.
@@ -81,9 +91,11 @@ def remainder_step(x, y, q, s):
 def log10_approx(x) -> float:
     """log10(x) for a positive integer of any size.
 
-    Works from the leading 64 bits plus the bit length, carried through
-    50-digit decimal arithmetic, so the only error left is the final
-    rounding to a double. Powers of ten come out exact.
+    Works from the leading 64 bits plus the bit length. The logarithm of
+    that value is carried through 128-bit fixed-point arithmetic with a
+    proven error bound (50-digit decimal arithmetic when the bound cannot
+    decide the last bit), so the only error left is the final rounding to
+    a double. Powers of ten come out exact.
     """
     n = int(x)
     if n <= 0:
@@ -95,7 +107,38 @@ def log10_approx(x) -> float:
 @lru_cache(maxsize=256)
 def _log10_head(head: int, shift: int) -> float:
     """log10(head * 2**shift); keyed on small ints, so a formula's terms
-    measured once for the Lehmer sum cost nothing more to write out."""
+    measured once for the Lehmer sum cost nothing more to write out.
+
+    With head = 2^e * (1 + t), ln(1 + t) = 2*atanh(u) for u = t/(2 + t)
+    <= 1/3, summed as floored terms in fixed point at 2^-128 (Brent &
+    Zimmermann, *Modern Computer Arithmetic*, section 4.4). The sum falls
+    short of atanh(u) * 2^128 by less than 3 units per term, at most 41
+    terms, plus 2 for the series left out; divided by ln 10 that is under
+    112 units of log10. Rounding ln 10 and log10 2 to 2^-128 adds 1/2 unit
+    per multiple of log10 2. So y, the value in units of 2^-128, lies
+    within err = _SERIES_ERR + e + shift of the true value (e + shift when
+    t = 0), and so does the 50-digit Decimal result, whose error is below
+    10^-10 * (e + shift + 1) units. When both ends of that interval round
+    to the same double, so does either value. Otherwise (for a random
+    head, less than once in 2^65 calls) the Decimal computation decides.
+    """
+    e = head.bit_length() - 1
+    num, den = head - (1 << e), head + (1 << e)  # u = num/den
+    y = (e + shift) * _LOG10_2_Q128
+    err = e + shift
+    if num:
+        u = (num << 128) // den
+        u2 = u * u >> 128
+        term, atanh, k = u, 0, 1
+        while term:
+            atanh += term // k
+            term = term * u2 >> 128
+            k += 2
+        y += (atanh << 129) // _LN10_Q128
+        err += _SERIES_ERR
+    low = (y - err) / (1 << 128)  # int / int is correctly rounded
+    if low == (y + err) / (1 << 128):
+        return low
     with localcontext() as ctx:
         ctx.prec = 50
         if shift == 0:

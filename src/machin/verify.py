@@ -37,6 +37,9 @@ from .exactint import Ratio, remainder_step
 
 __all__ = ["check_identity", "float_sanity", "fold_formula"]
 
+# pi/2 lies in [_HALF_PI, _HALF_PI + 1) * 2^-64
+_HALF_PI = 0x1921FB54442D18469
+
 
 def _fold(terms, last=True):
     """R = (1+i) * conj(P) after every factor, as its parts (x, y).
@@ -77,10 +80,11 @@ def _check_branch(formula):
     """Raise FoldError unless the formula sums to within 2*pi of pi/4.
 
     Each c*arctan(x), with x = 1/q or a remainder's A/B, is enclosed by
-    x - x^3/3 <= arctan x <= x after rounding x to 2^-64 both ways. As
-    pi > 3, the values pi/4 - 2*pi and pi/4 + 2*pi lie outside
-    [-21/4, 27/4], so a sum enclosed in that interval that is congruent
-    to pi/4 modulo 2*pi is pi/4.
+    x - x^3/3 <= arctan x <= x after rounding x to 2^-64 both ways; for
+    x > 1, arctan x = pi/2 - arctan(1/x) with pi/2 rounded both ways to
+    2^-64 as well. As pi > 3, the values pi/4 - 2*pi and pi/4 + 2*pi lie
+    outside [-21/4, 27/4], so a sum enclosed in that interval that is
+    congruent to pi/4 modulo 2*pi is pi/4.
     """
     rem = formula.final_remainder
     parts = [(term.sign * term.coefficient, 1, term.q) for term in formula.terms]
@@ -88,9 +92,14 @@ def _check_branch(formula):
         parts.append((rem.delta, rem.A, rem.B))
     lo = hi = 0  # bounds on the sum, in units of 2^-192
     for c, a, b in parts:
+        flip = a > b
+        if flip:
+            a, b = b, a
         x = (a << 64) // b  # a/b lies in [x, x + 1) * 2^-64
         # x*2^-64 - (x + 1)^3*2^-192/3 rounded down, and (x + 1)*2^-64
         lower, upper = (x << 128) + (-(x + 1) ** 3 // 3), (x + 1) << 128
+        if flip:
+            lower, upper = (_HALF_PI << 128) - upper, ((_HALF_PI + 1) << 128) - lower
         if c < 0:
             lower, upper = upper, lower
         lo, hi = lo + c * lower, hi + c * upper

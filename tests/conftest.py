@@ -1,6 +1,10 @@
 import sys
+import time
 
+import pytest
 from hypothesis import HealthCheck, settings
+
+from machin.generator import GenerationConfig, generate
 
 settings.register_profile(
     "suite", deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -10,3 +14,15 @@ settings.load_profile("suite")
 # tests stringify and parse integers far beyond CPython's default cap
 if hasattr(sys, "set_int_max_str_digits"):
     sys.set_int_max_str_digits(0)
+
+
+@pytest.fixture(scope="session")
+def partial_q100000():
+    """generate(100000, partial, max_digits=10^6) and the seconds it took.
+
+    About half a minute on plain ints, so the acceptance test and the CLI
+    test share one build.
+    """
+    started = time.perf_counter()
+    formula = generate(100000, GenerationConfig(partial=True, max_digits=1_000_000))
+    return formula, time.perf_counter() - started

@@ -77,9 +77,9 @@ def test_criterion_03_deep_complete_run_q28():
 
 
 @pytest.mark.long
-def test_criterion_04_partial_run_q100000():
-    started = time.perf_counter()
-    formula = generate(100000, GenerationConfig(partial=True, max_digits=1_000_000))
+def test_criterion_04_partial_run_q100000(partial_q100000):
+    formula, build_s = partial_q100000
+    started = time.perf_counter() - build_s
     ref = REFERENCE_RUNS[100000]
     assert not formula.complete
     assert formula.final_remainder is not None

@@ -283,7 +283,16 @@ class TestGenerateCommand:
         check_listing(out, 28, ref, lg_rel=1e-6)
 
     @pytest.mark.long
-    def test_partial_listing_q100000(self, capsys):
+    def test_partial_listing_q100000(self, capsys, monkeypatch, partial_q100000):
+        # the acceptance test checks this formula against the golden run;
+        # here the CLI must ask for exactly it and print it
+        formula, _ = partial_q100000
+
+        def built_once(q0, config):
+            assert (q0, config) == (100000, GenerationConfig(partial=True, max_digits=1_000_000))
+            return formula
+
+        monkeypatch.setattr("machin.cli.generate", built_once)
         ref = REFERENCE_RUNS[100000]
         code, out, err = run_cli(capsys, "generate", "100000", "--partial")
         assert code == EXIT_OK and err == ""
@@ -373,6 +382,7 @@ class TestPiCommand:
         code, out, err = run_cli(capsys, "pi", "--formula", str(path), "--digits", "20")
         assert code == EXIT_PRECISION
         assert out == "" and "tail" in err
+        assert "10^-20 " in err  # the digits asked for, not the finer internal target
 
     def test_bad_inputs(self, capsys):
         assert run_cli(capsys, "pi", "--q0", "5", "--digits", "0")[0] == EXIT_BAD_INPUT
@@ -421,6 +431,14 @@ class TestVerifyCommand:
         assert not json.loads(out)["complete"]
         path = tmp_path / "partial.json"
         path.write_text(out, encoding="utf-8")
+        assert run_cli(capsys, "verify", "--formula", str(path)) == (EXIT_OK, "IDENTITY OK\n", "")
+
+    @pytest.mark.parametrize("k", [6, 7, 8])
+    def test_remainder_above_one_verifies(self, capsys, tmp_path, k):
+        # arctan(1/2) - arctan(1/3) - ... - arctan(1/k) + arctan(A/B) = pi/4, A/B > 3
+        terms = [FormulaTerm(1, 2)] + [FormulaTerm(-1, q) for q in range(3, k + 1)]
+        path = tmp_path / "remainder.json"
+        path.write_text(json.dumps(v2_document(with_fold_remainder(terms))), encoding="utf-8")
         assert run_cli(capsys, "verify", "--formula", str(path)) == (EXIT_OK, "IDENTITY OK\n", "")
 
     @pytest.mark.parametrize("verb", [["verify"], ["pi", "--digits", "20"]])

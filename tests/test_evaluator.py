@@ -104,7 +104,7 @@ class TestPlanBudget:
     @pytest.mark.parametrize("digits", [1, 5, 20, 40])
     def test_forged_tail_gets_no_digits(self, digits):
         check_identity(FORGED_TAIL)
-        with pytest.raises(PrecisionUnachievableError):
+        with pytest.raises(PrecisionUnachievableError, match=rf"10\^-{digits} "):
             compute_pi(FORGED_TAIL, digits)
 
     def test_forged_tail_bounded_at_low_precision(self):

@@ -12,6 +12,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import machin
+from machin import exactint
 from machin.exactint import (
     Ratio,
     decimal_digits,
@@ -22,6 +23,8 @@ from machin.exactint import (
     to_decimal_string,
 )
 from machin.generator import _pick_positive, _pick_signed
+
+from reference_runs import REFERENCE_RUNS
 
 LOG10_2 = Decimal("0.30102999566398119521373889472449302676818988146210854131")
 
@@ -72,6 +75,22 @@ def step_inputs(draw):
     else:
         x = rng.getrandbits(q_bits + y_bits + 2) * draw(st.sampled_from([-1, 1]))
     return x, y, q, s
+
+
+def decimal_log10(head, shift):
+    """log10(head * 2**shift) in 50-digit Decimal arithmetic, as a double:
+    the computation _log10_head must reproduce bit for bit."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        if shift == 0:
+            return float(Decimal(head).log10())
+        return float(Decimal(head).log10() + shift * LOG10_2)
+
+
+def head_and_shift(x):
+    """The leading 64 bits of x and the shift that drops the rest."""
+    shift = max(x.bit_length() - 64, 0)
+    return x >> shift, shift
 
 
 def run_fresh(code: str, limit: int) -> dict:
@@ -193,14 +212,59 @@ class TestLog10:
         rng = random.Random(seed)
         values = [rng.getrandbits(b) | (1 << (b - 1)) for b in sizes]
         for x in values + values:
-            with localcontext() as ctx:
-                ctx.prec = 50
-                if x.bit_length() <= 64:
-                    expected = float(Decimal(x).log10())
-                else:
-                    shift = x.bit_length() - 64
-                    expected = float(Decimal(x >> shift).log10() + shift * LOG10_2)
-            assert log10_approx(x) == expected
+            assert log10_approx(x) == decimal_log10(*head_and_shift(x))
+
+    @pytest.mark.parametrize("bits", range(1, 65))
+    def test_fixed_point_matches_decimal_for_every_head_length(self, bits):
+        rng = random.Random(bits)
+        heads = {1 << (bits - 1), (1 << bits) - 1}  # t = 0 and u closest to 1/3
+        heads.update(rng.getrandbits(bits) | (1 << (bits - 1)) for _ in range(40))
+        shifts = [0, 1, 2 ** 36 - 1, 2 ** 36] + [rng.randrange(2 ** 36) for _ in range(3)]
+        for head in heads:
+            for shift in shifts:
+                assert exactint._log10_head.__wrapped__(head, shift) == decimal_log10(head, shift)
+
+    def test_fixed_point_matches_decimal_at_powers(self):
+        values = {3 ** k for k in range(400)}
+        for k in range(400):
+            values.update((10 ** k - 1, 10 ** k, 10 ** k + 1, 2 ** k))
+        values.discard(0)
+        for x in values:
+            head, shift = head_and_shift(x)
+            assert exactint._log10_head.__wrapped__(head, shift) == decimal_log10(head, shift)
+
+    def test_fixed_point_matches_decimal_on_reference_terms(self):
+        qs = {q for q0, ref in REFERENCE_RUNS.items()
+              for q in (q0, *(q for _, q in ref["terms"])) if isinstance(q, int)}
+        assert max(qs).bit_length() > 64  # some take the shifted path
+        for q in qs:
+            head, shift = head_and_shift(q)
+            assert exactint._log10_head.__wrapped__(head, shift) == decimal_log10(head, shift)
+
+    def test_fixed_point_constants(self):
+        # log10(2) and ln(10) to 60 digits, scaled by 2^128 and rounded to nearest
+        with localcontext() as ctx:
+            ctx.prec = 60
+            log10_2 = Decimal(2).log10() * 2 ** 128
+            ln10 = Decimal(10).ln() * 2 ** 128
+        assert abs(exactint._LOG10_2_Q128 - log10_2) < Decimal("0.5")
+        assert abs(exactint._LN10_Q128 - ln10) < Decimal("0.5")
+
+    @pytest.mark.parametrize("x", [3, 7, 10 ** 19 + 1, 2 ** 64 - 1, 3 ** 200, 10 ** 300 - 1])
+    def test_decimal_fallback_when_interval_is_ambiguous(self, monkeypatch, x):
+        # an error bound too wide to decide any double sends every head that
+        # is not a power of two to the 50-digit Decimal code
+        monkeypatch.setattr(exactint, "_SERIES_ERR", 1 << 400)
+        contexts = []
+
+        def counted_localcontext():
+            contexts.append(x)
+            return localcontext()
+
+        monkeypatch.setattr(exactint, "localcontext", counted_localcontext)
+        head, shift = head_and_shift(x)
+        assert exactint._log10_head.__wrapped__(head, shift) == decimal_log10(head, shift)
+        assert contexts == [x]
 
 
 class TestDigitHelpers:

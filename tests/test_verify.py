@@ -1,7 +1,8 @@
 import math
+from fractions import Fraction
 
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from machin.errors import FoldError, IncompleteFormulaError
@@ -72,6 +73,25 @@ def ends_on_pi_quarter(formula):
             if den == 0:
                 return False
     return num == den > 0 and abs(float_sanity(formula) - math.pi) < 1
+
+
+# arctan(1/2) - arctan(1/3) - ... - arctan(1/k): the remainder to pi/4 is above 1
+REMAINDER_ABOVE_ONE = {k: [FormulaTerm(1, 2)] + [FormulaTerm(-1, q) for q in range(3, k + 1)]
+                       for k in (6, 7, 8)}
+
+
+@st.composite
+def forged_partial_formulas(draw):
+    """Terms with the remainder their fold leaves, whatever they sum to."""
+    size = st.one_of(st.integers(2, 60), st.integers(2, 10 ** 40))
+    qs = sorted(draw(st.sets(size, min_size=1, max_size=8)))
+    signs = draw(st.lists(st.sampled_from([-1, 1]), min_size=len(qs) - 1, max_size=len(qs) - 1))
+    terms = [FormulaTerm(1, qs[0], draw(st.integers(1, 60)))]
+    terms += [FormulaTerm(s, q) for s, q in zip(signs, qs[1:])]
+    try:
+        return with_fold_remainder(terms)
+    except ValueError:  # the fold ends on B <= 0, which no remainder records
+        assume(False)
 
 
 @st.composite
@@ -183,13 +203,42 @@ class TestCheckIdentity:
             check_identity(with_fold_remainder(f.terms[:5]))
 
     def test_branch_enclosure_contains_the_sum(self):
-        # 85*arctan(1/10) - arctan(3) is about 7.22, above 27/4. The bounds
-        # that swap for the negative part, x - x^3/3 <= arctan 3 <= 3, are
-        # what keep it out: 8.5 - (3 - 9) >= 27/4, while 8.5 - 3 would not be
-        f = MachinFormula(10, (FormulaTerm(1, 10, 85),), False, RemainderState(3, 1, -1))
-        assert float_sanity(f) / 4 - math.atan(3) > 27 / 4
-        with pytest.raises(FoldError, match="2[*]pi"):
-            check_identity(f)
+        # c*arctan(1/10) + delta*arctan(A/B) lies above 27/4 (6.889, 7.227
+        # and 6.770), so only bounds on the right side of the sum keep it
+        # out. For the negative part they swap: x - x^3/3 <= arctan 1 <= 1
+        # gives 7.7 - (1 - 1/3) >= 27/4, while 7.7 - 1 would not. For A/B
+        # above 1 the upper bound is pi/2 - (x - x^3/3) with x = B/A, 0.904
+        # for 101/100, where pi/2 - x = 0.581 would let the sum in.
+        for c, rem in [(77, RemainderState(1, 1, -1)), (85, RemainderState(3, 1, -1)),
+                       (60, RemainderState(101, 100, 1))]:
+            f = MachinFormula(10, (FormulaTerm(1, 10, c),), False, rem)
+            assert float_sanity(f) / 4 + rem.delta * math.atan(rem.A / rem.B) > 27 / 4
+            with pytest.raises(FoldError, match="2[*]pi"):
+                check_identity(f)
+
+    @pytest.mark.parametrize("k", [6, 7, 8])
+    def test_remainder_above_one_is_an_identity(self, k):
+        # arctan(1/2) - arctan(1/3) - ... - arctan(1/k) + arctan(A/B) = pi/4
+        # with A/B about 3.02, 5.56 and 18.7: x - x^3/3 <= arctan x <= x is
+        # far too loose there, pi/2 - arctan(B/A) is not
+        f = with_fold_remainder(REMAINDER_ABOVE_ONE[k])
+        assert f.final_remainder.A > 3 * f.final_remainder.B
+        check_identity(f)
+
+    @given(forged_partial_formulas())
+    @example(with_fold_remainder([FormulaTerm(1, 10, 58)]))  # 9*pi/4 with A/B about 3.44
+    @example(with_fold_remainder(nine_pi_quarters().terms[:5]))
+    def test_partial_check_matches_the_sum(self, formula):
+        # the fold always lands on the recorded remainder, so the sum
+        # decides: pi/4 passes, any other turn fails
+        rem = formula.final_remainder
+        total = float_sanity(formula) / 4 + rem.delta * math.atan(Fraction(rem.A, rem.B))
+        try:
+            check_identity(formula)
+        except FoldError:
+            assert abs(total - math.pi / 4) > 1
+        else:
+            assert abs(total - math.pi / 4) < 1e-9
 
     @pytest.mark.parametrize("change", ["q", "sign", "dropped", "extra"])
     def test_tampered_last_term_fails(self, change):
