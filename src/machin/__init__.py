@@ -22,7 +22,6 @@ from .generator import (
     MachinFormula,
     RemainderState,
     find_first_term,
-    first_term_step,
     generate,
     next_term_positive,
     next_term_signed,
@@ -48,7 +47,6 @@ __all__ = [
     "arctan_recip_fixed",
     "compute_pi",
     "find_first_term",
-    "first_term_step",
     "float_sanity",
     "fold_formula",
     "generate",

@@ -20,7 +20,7 @@ from collections import namedtuple
 
 from ._bigint import bigint
 from .errors import PrecisionUnachievableError
-from .exactint import log10_approx, to_decimal_string
+from .exactint import Record, log10_approx, to_decimal_string
 
 __all__ = [
     "PrecisionBudget",
@@ -30,7 +30,7 @@ __all__ = [
 ]
 
 
-class PrecisionBudget(namedtuple(
+class PrecisionBudget(Record, namedtuple(
         "PrecisionBudget", "epsilon epsilon1 epsilon2 accepted_terms maclaurin_lengths")):
     """The error plan for one evaluation.
 

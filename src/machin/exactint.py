@@ -1,9 +1,10 @@
 """Exact unbounded-integer primitives.
 
-An integer-fraction record, the Gaussian-integer step that the generator
-and the fold share, a base-10 logarithm that is correctly rounded to a
-double for integers of any size without ever converting the full value
-to a machine float, and a decimal codec for integers of any size.
+The base of the library's records and an integer-fraction record, the
+Gaussian-integer step and power that the generator and the fold share, a
+base-10 logarithm that is correctly rounded to a double for integers of
+any size without ever converting the full value to a machine float, and a
+decimal codec for integers of any size.
 
 The logarithm runs in integer fixed point at 2^-128 (an atanh series and
 two rounded constants) and keeps a proven error interval; only when that
@@ -18,6 +19,7 @@ built-in ``str()``/``int()`` conversions it makes are on pieces of at most
 """
 from __future__ import annotations
 
+import sys
 from collections import namedtuple
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, localcontext
 from functools import lru_cache
@@ -26,10 +28,12 @@ from ._bigint import HAVE_GMPY2, bigint
 
 __all__ = [
     "Ratio",
+    "Record",
     "decimal_digits",
     "exceeds_digits",
     "from_decimal_string",
     "log10_approx",
+    "remainder_power",
     "remainder_step",
     "to_decimal_string",
 ]
@@ -56,7 +60,37 @@ _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact])
 _SQUARE_RATIO = 64
 
 
-class Ratio(namedtuple("Ratio", "num den")):
+class Record:
+    """What the library's named tuples share, put first among their bases.
+
+    _replace builds through _make, which is sent through the record's own
+    __new__ and its checks. The repr is the text namedtuple prints, but int
+    fields, and both parts of a Fraction, go through to_decimal_string, so
+    the interpreter's int/str digit limit never applies.
+    """
+
+    __slots__ = ()
+
+    _make = classmethod(lambda cls, values: cls(*values))
+
+    def __repr__(self):
+        # a Fraction field means fractions is loaded; importing it here
+        # would load it for every record
+        fractions = sys.modules.get("fractions")
+
+        def field(value):
+            if type(value) is int:
+                return to_decimal_string(value)
+            if fractions is not None and type(value) is fractions.Fraction:
+                return (f"Fraction({to_decimal_string(value.numerator)}, "
+                        f"{to_decimal_string(value.denominator)})")
+            return repr(value)
+
+        fields = ", ".join(f"{name}={field(value)}" for name, value in zip(self._fields, self))
+        return f"{type(self).__name__}({fields})"
+
+
+class Ratio(Record, namedtuple("Ratio", "num den")):
     """An integer fraction num/den with den > 0 (the sign lives in num)."""
 
     __slots__ = ()
@@ -67,9 +101,6 @@ class Ratio(namedtuple("Ratio", "num den")):
         if den < 0:
             num, den = -num, -den
         return tuple.__new__(cls, (num, den))
-
-    # _replace builds through _make; send it through __new__'s checks
-    _make = classmethod(lambda cls, values: cls(*values))
 
 
 def remainder_step(x, y, q, s):
@@ -86,6 +117,20 @@ def remainder_step(x, y, q, s):
         u, v = (q * q + 1) * y, q * y2
         return (u - v if s > 0 else v - u), y2
     return (q * x + y if s > 0 else q * x - y), y2
+
+
+def remainder_power(q, m):
+    """(1+i) * (q - i)^m as (x, y), the remainder frame of m*arctan(1/q).
+
+    Equal to m calls x, y = remainder_step(x, y, q, 1) from (1, 1), but by
+    binary powering: one squaring per bit of m and one step per set bit.
+    """
+    x, y = bigint(1), bigint(0)
+    for bit in bin(m)[2:]:
+        x, y = (x + y) * (x - y), 2 * x * y
+        if bit == "1":
+            x, y = remainder_step(x, y, q, 1)
+    return x - y, x + y
 
 
 def log10_approx(x) -> float:

@@ -2,25 +2,26 @@
 
 Starting from arctan(1) = pi/4, the generator first finds the multiplier m
 for the leading term m*arctan(1/q0): it estimates m from below, forms the
-remainder b + a*i = (1+i)*(q0 - i)^m with one Gaussian power, and follows
-the integer pair (a, b) -> (q0*a - b, q0*b + a) until the numerator changes
-sign. It then keeps splitting single arctangent terms off the remainder
-arctan(A/B) until it vanishes (a complete identity) or a digit budget stops
-the run (a partial identity). Two term-selection rules are supported:
+remainder B + y*i = (1+i)*(q0 - i)^m with one Gaussian power, and steps on
+by (q0 - i) until the imaginary part y turns negative. It then keeps
+splitting single arctangent terms off the remainder arctan(A/B), A = |y|,
+until it vanishes (a complete identity) or a digit budget stops the run (a
+partial identity). Two term-selection rules are supported:
 
 * ``signed``   -- q is the nearest integer to B/A; the remainder numerator
                   at least halves per step and term signs may alternate.
 * ``positive`` -- q is the ceiling of B/A; every sign is positive but the
                   numerator decays much more slowly.
 
-Both walks are one Gaussian-integer step, ``exactint.remainder_step``: the
-remainder B + delta*A*i is multiplied by (q - delta*i), and the first-term
-walk is (b + a*i) * (q0 - i). The step forms the short new numerator
-raw = q*A - B first; once A and raw have fewer than 1/64 of q's bits, which
-is nearly every step of a deep run, it gets B' = q*B + A as
-A*(q*q + 1) - q*raw, one squaring of q plus short multiplies instead of the
-big-by-big q*B. The first-term walk, with its small q0, and runs whose
-first remainder is still long next to q keep q*B + A.
+The remainder is the Gaussian integer B + y*i with y = delta*A, the frame
+that ``verify`` folds in, and every step multiplies it by (q - delta*i):
+``exactint.remainder_power`` for the first term, ``exactint.remainder_step``
+for the walk and each later term. The step forms the short new imaginary
+part q*y - delta*B first; once A and that part have fewer than 1/64 of q's
+bits, which is nearly every step of a deep run, it gets B' = q*B + A as
+delta*((q*q + 1)*y - q*y'), one squaring of q plus short multiplies instead
+of the big-by-big q*B. The first-term walk, with its small q0, and runs
+whose first remainder is still long next to q keep q*B + A.
 """
 from __future__ import annotations
 
@@ -28,7 +29,7 @@ from collections import namedtuple
 
 from ._bigint import bigint
 from .errors import GenerationCutoffError
-from .exactint import exceeds_digits, remainder_step
+from .exactint import Record, exceeds_digits, remainder_power, remainder_step
 
 __all__ = [
     "FormulaTerm",
@@ -36,7 +37,6 @@ __all__ = [
     "MachinFormula",
     "RemainderState",
     "find_first_term",
-    "first_term_step",
     "generate",
     "next_term_positive",
     "next_term_signed",
@@ -45,7 +45,7 @@ __all__ = [
 MODES = ("signed", "positive")
 
 
-class RemainderState(namedtuple("RemainderState", "A B delta")):
+class RemainderState(Record, namedtuple("RemainderState", "A B delta")):
     """The trailing term delta * arctan(A/B) left over during generation."""
 
     __slots__ = ()
@@ -59,11 +59,8 @@ class RemainderState(namedtuple("RemainderState", "A B delta")):
             raise ValueError("remainder sign delta must be -1 or +1")
         return tuple.__new__(cls, (A, B, delta))
 
-    # _replace builds through _make; send it through __new__'s checks
-    _make = classmethod(lambda cls, values: cls(*values))
 
-
-class FormulaTerm(namedtuple("FormulaTerm", "sign q coefficient")):
+class FormulaTerm(Record, namedtuple("FormulaTerm", "sign q coefficient")):
     """One term sign * coefficient * arctan(1/q) of an identity."""
 
     __slots__ = ()
@@ -77,10 +74,9 @@ class FormulaTerm(namedtuple("FormulaTerm", "sign q coefficient")):
             raise ValueError("term coefficient must be at least 1")
         return tuple.__new__(cls, (sign, q, coefficient))
 
-    _make = classmethod(lambda cls, values: cls(*values))
 
-
-class MachinFormula(namedtuple("MachinFormula", "q0 terms complete final_remainder mode")):
+class MachinFormula(Record, namedtuple(
+        "MachinFormula", "q0 terms complete final_remainder mode")):
     """A generated identity: pi/4 = m*arctan(1/q0) + sum of signed terms.
 
     ``terms`` is a tuple of FormulaTerm, the first being m*arctan(1/q0).
@@ -110,10 +106,8 @@ class MachinFormula(namedtuple("MachinFormula", "q0 terms complete final_remaind
             raise ValueError(f"mode must be one of {MODES}")
         return tuple.__new__(cls, (q0, terms, complete, final_remainder, mode))
 
-    _make = classmethod(lambda cls, values: cls(*values))
 
-
-class GenerationConfig(namedtuple("GenerationConfig", "mode partial max_digits")):
+class GenerationConfig(Record, namedtuple("GenerationConfig", "mode partial max_digits")):
     """How generate() picks terms and when it stops (see generate)."""
 
     __slots__ = ()
@@ -125,64 +119,38 @@ class GenerationConfig(namedtuple("GenerationConfig", "mode partial max_digits")
             raise ValueError("max_digits must be at least 1")
         return tuple.__new__(cls, (mode, partial, max_digits))
 
-    _make = classmethod(lambda cls, values: cls(*values))
-
-
-def first_term_step(state, q0):
-    """One subtraction of arctan(1/q0) from a first-term remainder (a, b)."""
-    a, b = state
-    b2, a2 = remainder_step(b, a, q0, 1)  # (b + a*i) * (q0 - i)
-    return a2, b2
-
 
 # floor(pi/4 * 2^64); c = this / 2^64 is at most pi/4 and arctan(1/q0) < 1/q0,
 # so floor(c*q0) is below pi/(4*arctan(1/q0)) and never overshoots m
 _PI_QUARTER_Q64 = 0xC90FDAA22168C234
 
 
-def _first_remainder(q0, m):
-    """(b, a) with b + a*i = (1+i) * (q0 - i)^m, by one Gaussian power."""
-    x, y = bigint(1), bigint(0)
-    for bit in bin(m)[2:]:
-        x, y = (x + y) * (x - y), 2 * x * y
-        if bit == "1":
-            x, y = remainder_step(x, y, q0, 1)
-    return x - y, x + y
+def _first_term(q0, mode):
+    """q0, m and the remainder frame (B, y = delta*A) of m*arctan(1/q0).
 
-
-def _first_term_floor(q0):
-    """Subtract arctan(1/q0) while the remainder stays positive.
-
-    Returns (m, a, b, a_next, b_next) for the largest m whose remainder
-    arctan(a/b) is still positive; (a_next, b_next) is the very next step,
-    where the numerator has turned negative. The walk starts at a lower
-    bound on m, at most 2 + q0/2^64 steps short, instead of at zero.
+    The walk starts at a lower bound on m, at most 2 + q0/2^64 steps short,
+    and stops at the largest m whose remainder is still positive. In signed
+    mode the next m, whose remainder is negative, is taken instead when it
+    leaves the smaller remainder, decided on integer cross products.
     """
-    m = q0 * _PI_QUARTER_Q64 >> 64
-    b, a = _first_remainder(q0, m)
-    while True:
-        b_next, a_next = remainder_step(b, a, q0, 1)
-        if a_next < 0:
-            return m, a, b, a_next, b_next
-        m, a, b = m + 1, a_next, b_next
-
-
-def _first_term_nearest(q):
-    """m, A, B, delta for the bracketing m that leaves the smaller remainder.
-
-    The comparison is done purely on integer cross products.
-    """
-    m, a, b, a_next, b_next = _first_term_floor(q)
-    if a * b_next + b * a_next > 0:  # overshooting leaves the smaller remainder
-        return m + 1, -a_next, b_next, -1
-    return m, a, b, 1
-
-
-def _coerce_q0(q0):
     q = bigint(int(q0))
     if q < 2:
         raise ValueError("q0 must be at least 2 (q0 = 1 is the bare arctan(1) identity)")
-    return q
+    m = q * _PI_QUARTER_Q64 >> 64
+    B, y = remainder_power(q, m)
+    while True:
+        B2, y2 = remainder_step(B, y, q, 1)
+        if y2 < 0:
+            break
+        m, B, y = m + 1, B2, y2
+    if mode == "signed" and y * B2 + B * y2 > 0:  # overshooting leaves the smaller remainder
+        return int(q), m + 1, B2, y2
+    return int(q), m, B, y
+
+
+def _remainder(B, y, delta):
+    """The RemainderState of the frame B + y*i; delta stays when y = 0."""
+    return RemainderState(int(abs(y)), int(B), (1 if y > 0 else -1) if y else delta)
 
 
 def find_first_term(q0):
@@ -191,8 +159,8 @@ def find_first_term(q0):
     Of the two bracketing candidates (remainder still positive vs. first
     negative), picks whichever leaves the smaller remainder magnitude.
     """
-    m, A, B, delta = _first_term_nearest(_coerce_q0(q0))
-    return m, RemainderState(int(A), int(B), delta)
+    _, m, B, y = _first_term(q0, "signed")
+    return m, _remainder(B, y, 1)
 
 
 def _pick_signed(A, B):
@@ -207,22 +175,11 @@ def _pick_positive(A, B):
     return -q, r == 0  # q*A - B == r
 
 
-def _advance(A, B, delta, q):
-    """The remainder (A', B', delta') left after the term delta*arctan(1/q).
-
-    B + delta*A*i times (q - delta*i): the imaginary part is delta*(q*A - B),
-    at most A in size, so remainder_step squares q for B' = q*B + A
-    whenever A is short next to q.
-    """
-    B2, y2 = remainder_step(B, delta * A, q, delta)
-    return abs(y2), B2, (1 if y2 > 0 else -1) if y2 else delta
-
-
 def _next_term(state: RemainderState, pick):
     A, B = bigint(state.A), bigint(state.B)
     q, _ = pick(A, B)
-    A2, B2, delta2 = _advance(A, B, state.delta, q)
-    return FormulaTerm(sign=state.delta, q=int(q)), RemainderState(int(A2), int(B2), delta2)
+    B2, y2 = remainder_step(B, state.delta * A, q, state.delta)
+    return FormulaTerm(sign=state.delta, q=int(q)), _remainder(B2, y2, state.delta)
 
 
 def next_term_signed(state: RemainderState):
@@ -252,27 +209,19 @@ def generate(q0, config: GenerationConfig | None = None) -> MachinFormula:
     that crosses the budget still counts as complete.
     """
     cfg = config if config is not None else GenerationConfig()
-    q = _coerce_q0(q0)
-    q0_int = int(q)
-
-    if cfg.mode == "signed":
-        m, A, B, delta = _first_term_nearest(q)
-        pick = _pick_signed
-    else:
-        m, A, B, _, _ = _first_term_floor(q)  # keep the positive remainder
-        delta, pick = 1, _pick_positive
-
-    terms = [FormulaTerm(sign=1, q=q0_int, coefficient=m)]
+    q0, m, B, y = _first_term(q0, cfg.mode)
+    pick = _pick_signed if cfg.mode == "signed" else _pick_positive
+    terms = [FormulaTerm(sign=1, q=q0, coefficient=m)]
     while True:
-        qn, exact = pick(A, B)
+        delta = 1 if y > 0 else -1
+        qn, exact = pick(abs(y), B)
         terms.append(FormulaTerm(sign=delta, q=int(qn)))
         if exact:  # complete: the B' after this term is never needed
-            return MachinFormula(q0_int, tuple(terms), True, None, cfg.mode)
-        A, B, delta = _advance(A, B, delta, qn)
+            return MachinFormula(q0, tuple(terms), True, None, cfg.mode)
+        B, y = remainder_step(B, y, qn, delta)
         if exceeds_digits(qn, cfg.max_digits):
             if cfg.partial:
-                remainder = RemainderState(int(A), int(B), delta)
-                return MachinFormula(q0_int, tuple(terms), False, remainder, cfg.mode)
+                return MachinFormula(q0, tuple(terms), False, _remainder(B, y, delta), cfg.mode)
             raise GenerationCutoffError(
                 f"term {len(terms) - 1} exceeded {cfg.max_digits} decimal digits; "
                 "rerun in partial mode or raise max_digits"

@@ -8,11 +8,12 @@ It runs in the remainder frame instead: R = (1+i)*conj(P) starts at 1+i and
 is multiplied by (q - s*i) per factor. After each term of a generated
 formula R equals the generator's own remainder B + delta*A*i, so its
 imaginary part stays as small as A while the real part grows, and each
-factor costs one big multiply, not the two that P needs. That factor is
-``exactint.remainder_step``, the generator's own step: once A (and the
-next A) has fewer than 1/64 of q's bits, the multiply is a squaring of q,
-x' = s*((q*q + 1)*y - q*y'), cheaper than q times the long real part. The
-first term's factors, whose parts are both long, keep q*x + s*y. No
+factor costs one big multiply, not the two that P needs. The fold shares
+the generator's core: the first term is one Gaussian power,
+(1+i)*(q0 - i)^m by ``exactint.remainder_power``, and every later term is
+one ``exactint.remainder_step``. Once A (and the next A) has fewer than
+1/64 of q's bits, that step's multiply is a squaring of q,
+x' = s*((q*q + 1)*y - q*y'), cheaper than q times the long real part. No
 fraction reduction is performed.
 
 ``check_identity`` is the check made before a loaded formula is trusted:
@@ -33,7 +34,7 @@ import math
 
 from ._bigint import bigint
 from .errors import FoldError, IncompleteFormulaError
-from .exactint import Ratio, remainder_step
+from .exactint import Ratio, remainder_power, remainder_step
 
 __all__ = ["check_identity", "float_sanity", "fold_formula"]
 
@@ -42,26 +43,29 @@ _HALF_PI = 0x1921FB54442D18469
 
 
 def _fold(terms, last=True):
-    """R = (1+i) * conj(P) after every factor, as its parts (x, y).
+    """R = (1+i) * conj(P) after every term, as its parts (x, y).
 
-    With last=False the final factor of the final term is left out.
+    The first term's coefficient-many factors are one Gaussian power, and
+    every later term is one step. With last=False the final factor of the
+    final term is left out. For q0 >= 2, q0 + i has a Gaussian prime factor
+    of odd norm whose conjugate does not divide it, so no power of it is
+    purely imaginary: only the later steps can reach tangent pi/2.
     """
-    x, y = bigint(1), bigint(1)
-    end = len(terms) - 1
-    for k, term in enumerate(terms):
-        q, s = bigint(term.q), term.sign
-        for _ in range(term.coefficient if last or k < end else term.coefficient - 1):
-            x, y = remainder_step(x, y, q, s)
-            if x == -y:  # x + y == 0, without forming the sum
-                raise FoldError("fold passed through tangent pi/2 (zero denominator)")
+    first = terms[0]
+    m = first.coefficient if last or len(terms) > 1 else first.coefficient - 1
+    x, y = remainder_power(bigint(first.q), m)
+    for term in terms[1:] if last else terms[1:-1]:
+        x, y = remainder_step(x, y, bigint(term.q), term.sign)
+        if x == -y:  # x + y == 0, without forming the sum
+            raise FoldError("fold passed through tangent pi/2 (zero denominator)")
     return x, y
 
 
 def fold_formula(formula) -> Ratio:
     """Fold a complete formula into one arctangent, the tangent num/den.
 
-    Starts from arctan(0/1) and adds the first term coefficient-many
-    times, then each signed term. Raises FoldError if a fold ever lands
+    Starts from arctan(0/1), adds the first term m*arctan(1/q0) as one
+    Gaussian power, then each signed term. Raises FoldError if a fold lands
     exactly on a zero denominator (tangent through pi/2), which cannot
     happen for formulas produced by the generator. The result equals the
     plain tangent-addition fold num/den exactly, without reduction.

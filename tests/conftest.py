@@ -1,4 +1,3 @@
-import sys
 import time
 
 import pytest
@@ -11,9 +10,6 @@ settings.register_profile(
 )
 settings.load_profile("suite")
 
-# tests stringify and parse integers far beyond CPython's default cap
-if hasattr(sys, "set_int_max_str_digits"):
-    sys.set_int_max_str_digits(0)
 
 
 @pytest.fixture(scope="session")

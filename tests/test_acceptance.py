@@ -106,7 +106,7 @@ def test_criterion_05_growth_and_bound_properties():
             assert 2 * nxt.A <= state.A  # numerator at least halves
             qs.append(term.q)
             state = nxt
-            if len(str(term.q)) > 3000:
+            if term.q >= 10 ** 3000:  # more than 3000 digits
                 break
         assert qs[0] >= 2 * q0  # second denominator doubles the first
         for earlier, later in zip(qs, qs[1:]):

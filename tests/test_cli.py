@@ -189,7 +189,7 @@ class TestGenerateCommand:
 
     @needs_int_str_limit
     def test_documents_at_lowest_int_str_limit_in_fresh_process(self):
-        # the suite lifts the int/str limit in this process; a fresh one has it
+        # a fresh process at 640 digits, the lowest int/str limit there is
         code = (
             "import json, sys\n"
             "from machin import fold_formula, generate, lehmer_measure\n"

@@ -231,7 +231,7 @@ class TestComputePi:
 
     @needs_int_str_limit
     def test_past_int_str_limit_in_fresh_process(self):
-        # the suite lifts the int/str limit in this process; a fresh one has it
+        # a fresh process pins the default limit, whatever this one runs under
         code = (
             "import json, sys\n"
             "from machin import compute_pi, generate\n"

@@ -19,11 +19,13 @@ from machin.exactint import (
     exceeds_digits,
     from_decimal_string,
     log10_approx,
+    remainder_power,
     remainder_step,
     to_decimal_string,
 )
 from machin.generator import _pick_positive, _pick_signed
 
+from intstr import unlimited_int_str
 from reference_runs import REFERENCE_RUNS
 
 LOG10_2 = Decimal("0.30102999566398119521373889472449302676818988146210854131")
@@ -173,6 +175,16 @@ class TestRemainderStep:
         assert remainder_step(6, 4, 5, 1) == (34, 14)
         assert remainder_step(184, 36, 5, 1) == (956, -4)
 
+    @given(st.integers(min_value=2, max_value=10 ** 30), st.integers(min_value=0, max_value=400))
+    @example(5, 0)
+    @example(5, 4)  # (1+i)(5-i)^4 = 956 - 4i, Machin's remainder
+    @example(2 ** 100 + 1, 1)  # one factor of a q that takes the squared form
+    def test_power_is_repeated_steps(self, q, m):
+        x, y = 1, 1
+        for _ in range(m):
+            x, y = remainder_step(x, y, q, 1)
+        assert remainder_power(q, m) == (x, y)
+
 
 class TestLog10:
     def test_powers_of_ten_exact(self):
@@ -284,7 +296,9 @@ class TestDigitHelpers:
 
     @given(st.one_of(st.integers(min_value=-(10 ** 50), max_value=10 ** 50), codec_ints()))
     def test_decimal_string_round_trip(self, n):
-        assert to_decimal_string(n) == str(n)
+        with unlimited_int_str():
+            expected = str(n)
+        assert to_decimal_string(n) == expected
         assert from_decimal_string(to_decimal_string(n)) == n
 
     @pytest.mark.parametrize("text, value", [
@@ -311,7 +325,7 @@ class TestDigitHelpers:
     @needs_int_str_limit
     @pytest.mark.parametrize("limit", [640, 4300])  # the lowest allowed and the default
     def test_codec_in_fresh_process_keeps_int_str_limit(self, limit):
-        # the suite lifts the limit in this process, so check in a fresh one
+        # a fresh process, so the codec runs under exactly this limit
         out = run_fresh(
             "import json, random, sys\n"
             "from machin.exactint import from_decimal_string, to_decimal_string\n"
@@ -328,9 +342,10 @@ class TestDigitHelpers:
         )
         assert out["limit"] == limit
         for n, s, back, text, m in out["cases"]:
-            assert s == str(-int(n, 16))
+            with unlimited_int_str():
+                assert s == str(-int(n, 16))
+                assert int(m, 16) == int(text)
             assert back
-            assert int(m, 16) == int(text)
 
     def test_library_never_sets_int_str_limit(self):
         sources = sorted(Path(machin.__file__).parent.glob("*.py"))

@@ -13,7 +13,6 @@ from machin.generator import (
     MachinFormula,
     RemainderState,
     find_first_term,
-    first_term_step,
     generate,
     next_term_positive,
     next_term_signed,
@@ -33,16 +32,6 @@ def tiny_fold(formula):
 
 
 class TestFirstTerm:
-    @given(st.integers(min_value=2, max_value=10 ** 30), st.integers(-10 ** 60, 10 ** 60),
-           st.integers(-10 ** 60, 10 ** 60))
-    def test_step_is_the_plain_recurrence(self, q0, a, b):
-        assert first_term_step((a, b), q0) == (q0 * a - b, q0 * b + a)
-
-    def test_step_examples(self):
-        assert first_term_step((1, 1), 5) == (4, 6)
-        assert first_term_step((4, 6), 5) == (14, 34)
-        assert first_term_step((36, 184), 5) == (-4, 956)  # sign change at m=4
-
     def test_q5_overshoot_selected(self):
         m, rem = find_first_term(5)
         assert m == 4

@@ -8,6 +8,7 @@ import os
 import pickle
 import subprocess
 import sys
+from collections import namedtuple
 from fractions import Fraction
 from pathlib import Path
 
@@ -25,6 +26,8 @@ from machin.generator import (
 )
 from machin.measure import LehmerResult, lehmer_measure
 from machin.verify import fold_formula
+
+from intstr import unlimited_int_str
 
 MACHIN = generate(5)
 PARTIAL = generate(12, GenerationConfig(partial=True, max_digits=80))
@@ -51,6 +54,12 @@ FIELDS = {
     LehmerResult: ("value", "is_upper_bound", "bound_3_over_lg_q0"),
     PrecisionBudget: ("epsilon", "epsilon1", "epsilon2", "accepted_terms", "maclaurin_lengths"),
 }
+
+
+def named_tuple_repr(record):
+    """The repr of a plain named tuple of the same name and fields."""
+    return repr(namedtuple(type(record).__name__, record._fields)(*record))
+
 
 T5 = FormulaTerm(1, 5, 4)
 T239 = FormulaTerm(-1, 239)
@@ -114,6 +123,22 @@ class TestRecord:
 
     def test_repr_names_the_fields(self, record):
         assert repr(record).startswith(f"{type(record).__name__}({record._fields[0]}=")
+
+    def test_repr_is_the_named_tuple_repr(self, record):
+        assert repr(record) == named_tuple_repr(record)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: generate(20),  # terms of more than 4300 digits
+    lambda: fold_formula(generate(14)),
+    lambda: plan_budget(generate(5), 5000),  # Fraction(1, 10**5000)
+])
+def test_repr_of_big_records(make):
+    # under the default int/str limit, where the named tuple's repr raises
+    record = make()
+    text = repr(record)
+    with unlimited_int_str():
+        assert text == named_tuple_repr(record)
 
 
 @pytest.mark.parametrize("make, message", INVALID)

@@ -178,6 +178,26 @@ class TestCheckIdentity:
             check_identity(generate(q0, GenerationConfig(mode=mode, partial=True,
                                                          max_digits=digits)))
 
+    def test_single_term_forgeries_fail(self):
+        # no k*arctan(1/q0) is pi/4 for q0 >= 2; the check takes k - 1 of
+        # the factors as one power and tests the last one on its own
+        for q0 in range(2, 30):
+            for k in range(1, 60):
+                f = complete_formula(q0, k, [])
+                assert fold_outcome(fold_formula, f) == fold_outcome(tangent_addition_fold, f)
+                with pytest.raises(FoldError):
+                    check_identity(f)
+
+    def test_large_first_term_prefix(self):
+        # m = 78540 factors of (100000 - i) in the fold's first power
+        f = generate(100000, GenerationConfig(partial=True, max_digits=30))
+        check_identity(f)
+        first = f.terms[0]
+        for m in (first.coefficient - 1, first.coefficient + 1):
+            forged = f._replace(terms=(first._replace(coefficient=m),) + f.terms[1:])
+            with pytest.raises(FoldError, match="recorded remainder"):
+                check_identity(forged)
+
     def test_tampered_complete_formula_fails(self):
         with pytest.raises(FoldError):
             check_identity(complete_formula(5, 4, [(-1, 240)]))
