@@ -63,9 +63,10 @@ def plan_budget(formula, digits: int) -> PrecisionBudget:
     What is dropped, the later terms and a partial formula's remainder
     delta*arctan(A/B), weighs at most sum(1/q) + A/B because
     |arctan x| <= |x|; while that bound, rounded up to eps1/2^64, is not
-    below eps1, the next term is kept as well. A partial formula must drop
-    at least one term and record its remainder, or it cannot reach the
-    requested precision and is rejected.
+    below eps1, the next term is kept as well. A partial formula must
+    record its remainder, and once every term is kept, A/B alone must be
+    below eps1; otherwise it cannot reach the requested precision and is
+    rejected.
     """
     from fractions import Fraction  # only builds the three tolerances
 
@@ -82,7 +83,7 @@ def plan_budget(formula, digits: int) -> PrecisionBudget:
             break
         tail -= weight
         cut += 1
-    if not formula.complete and (rem is None or cut == len(terms)):
+    if not formula.complete and (rem is None or tail >= 1 << 64):
         raise PrecisionUnachievableError(
             f"partial formula is too short to bound the tail below 10^-{digits}")
     n = terms[0].coefficient + cut - 1

@@ -129,9 +129,11 @@ def _first_term(q0, mode):
     """q0, m and the remainder frame (B, y = delta*A) of m*arctan(1/q0).
 
     The walk starts at a lower bound on m, at most 2 + q0/2^64 steps short,
-    and stops at the largest m whose remainder is still positive. In signed
-    mode the next m, whose remainder is negative, is taken instead when it
-    leaves the smaller remainder, decided on integer cross products.
+    and stops at the largest m whose remainder y/B is still positive. In
+    signed mode the next m, whose remainder is negative, is taken instead
+    when it leaves the smaller remainder, (B - q*y)/(q*B + y) < y/B: when
+    B/y < q + sqrt(q*q + 1), a bound in (2q, 2q + 1). So B = k*y + r
+    decides by k < 2q, or by r*(2q*y + r) < y*y when k == 2q.
     """
     q = bigint(int(q0))
     if q < 2:
@@ -143,8 +145,10 @@ def _first_term(q0, mode):
         if y2 < 0:
             break
         m, B, y = m + 1, B2, y2
-    if mode == "signed" and y * B2 + B * y2 > 0:  # overshooting leaves the smaller remainder
-        return int(q), m + 1, B2, y2
+    if mode == "signed":
+        k, r = divmod(B, y)
+        if k < 2 * q or k == 2 * q and r * (2 * q * y + r) < y * y:
+            return int(q), m + 1, B2, y2
     return int(q), m, B, y
 
 

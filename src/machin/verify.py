@@ -16,14 +16,14 @@ one ``exactint.remainder_step``. Once A (and the next A) has fewer than
 x' = s*((q*q + 1)*y - q*y'), cheaper than q times the long real part. No
 fraction reduction is performed.
 
-``check_identity`` is the check made before a loaded formula is trusted:
-it folds a complete formula or the prefix of a partial one and requires
-the fold to end on a positive multiple of the recorded remainder. A
-complete formula's last factor only has to zero the imaginary part, and
-then the real part's sign is known without forming it, so the check skips
-the squaring of the largest q. The fold fixes the sum of the arctangents
-only modulo 2*pi, so the check also encloses that sum and requires it to
-lie within 2*pi of pi/4.
+``check_identity`` is the check made before a loaded formula is trusted.
+It treats a complete formula as a partial one whose remainder is its last
+term s*arctan(1/q): it folds every term before the remainder and has one
+end test, that the fold is a positive multiple of b + a*i, with
+(b, a) = (B, delta*A) for a recorded remainder and (q, s) for a last term,
+so a complete formula's largest q is never multiplied into the fold. The
+fold fixes the sum of the arctangents only modulo 2*pi, so the check also
+encloses that sum and requires it to lie within 2*pi of pi/4.
 
 ``float_sanity`` is the quick machine-precision cross check: the plain
 double sum 4*(m*atan(1/q0) + sum of s*atan(1/q)).
@@ -42,19 +42,18 @@ __all__ = ["check_identity", "float_sanity", "fold_formula"]
 _HALF_PI = 0x1921FB54442D18469
 
 
-def _fold(terms, last=True):
+def _fold(terms):
     """R = (1+i) * conj(P) after every term, as its parts (x, y).
 
     The first term's coefficient-many factors are one Gaussian power, and
-    every later term is one step. With last=False the final factor of the
-    final term is left out. For q0 >= 2, q0 + i has a Gaussian prime factor
-    of odd norm whose conjugate does not divide it, so no power of it is
-    purely imaginary: only the later steps can reach tangent pi/2.
+    every later term is one step. For q0 >= 2, q0 + i has a Gaussian prime
+    factor of odd norm whose conjugate does not divide it, so no power of
+    it is real or purely imaginary: only the later steps can reach tangent
+    pi/2.
     """
     first = terms[0]
-    m = first.coefficient if last or len(terms) > 1 else first.coefficient - 1
-    x, y = remainder_power(bigint(first.q), m)
-    for term in terms[1:] if last else terms[1:-1]:
+    x, y = remainder_power(bigint(first.q), first.coefficient)
+    for term in terms[1:]:
         x, y = remainder_step(x, y, bigint(term.q), term.sign)
         if x == -y:  # x + y == 0, without forming the sum
             raise FoldError("fold passed through tangent pi/2 (zero denominator)")
@@ -114,30 +113,28 @@ def _check_branch(formula):
 def check_identity(formula) -> None:
     """Raise unless the formula plus its remainder is exactly pi/4.
 
-    A complete formula must fold to a positive real R (tangent 1 with a
-    positive denominator). A partial one must fold to a positive multiple
-    of its final remainder B + delta*A*i: cross product zero, dot product
-    positive. Either way the sum must also lie within 2*pi of pi/4, which
-    the fold alone cannot tell. Raises IncompleteFormulaError for a partial
-    formula that carries no remainder, FoldError when the check fails.
+    The terms before the remainder must fold to a positive multiple of
+    b + a*i: B + delta*A*i for a partial formula, q + s*i for a complete
+    one's last term s*arctan(1/q), whose factor then takes the fold to a
+    positive real. As b > 0, that is x*a == y*b and x > 0. The sum must
+    also lie within 2*pi of pi/4, which the fold alone cannot tell. Raises
+    IncompleteFormulaError for a partial formula that carries no
+    remainder, FoldError when the check fails.
     """
     rem = formula.final_remainder
     if rem is None and not formula.complete:
         raise IncompleteFormulaError("a partial formula without its remainder cannot be checked")
     _check_branch(formula)
     if rem is not None:
-        x, y = _fold(formula.terms)
-        b, a = rem.B, rem.delta * rem.A
-        if x * a != y * b or x * b + y * a <= 0:
-            raise FoldError("the fold does not end on the recorded remainder")
-        return
-    # The last factor must leave y' = q*y - s*x = 0, and then
-    # x' = q*x + s*y = s*(q*q + 1)*y: its sign is s*sign(y), so the
-    # squaring of the largest q that forming x' would take is skipped.
-    x, y = _fold(formula.terms, last=False)
-    q, s = bigint(formula.terms[-1].q), formula.terms[-1].sign
-    if q * y != s * x or s * y <= 0:
-        raise FoldError("the fold does not end on tangent 1")
+        terms, b, a, end = formula.terms, rem.B, rem.delta * rem.A, "the recorded remainder"
+    else:
+        *terms, last = formula.terms
+        b, a, end = last.q, last.sign, "tangent 1"
+    if not terms:  # m*arctan(1/q0) alone: no power of q0 + i is real
+        raise FoldError(f"the fold does not end on {end}")
+    x, y = _fold(terms)
+    if x * a != y * b or x <= 0:
+        raise FoldError(f"the fold does not end on {end}")
 
 
 def float_sanity(formula) -> float:

@@ -91,6 +91,16 @@ class TestPlanBudget:
         with pytest.raises(PrecisionUnachievableError):
             plan_budget(f, 10)
 
+    def test_remainder_alone_can_bound_the_tail(self):
+        # q0 = 12 cut at 50 digits keeps every term, and its A/B, about
+        # 10^-147, is the whole tail: below eps1 up to D = 146
+        f = generate(12, GenerationConfig(partial=True, max_digits=50))
+        assert plan_budget(f, 80).accepted_terms == len(f.terms)
+        for digits in (80, 140):
+            assert compute_pi(f, digits) == compute_pi(generate(5), digits)
+        with pytest.raises(PrecisionUnachievableError):
+            compute_pi(f, 150)
+
     def test_rejects_zero_digits(self):
         with pytest.raises(ValueError):
             plan_budget(generate(5), 0)

@@ -1,4 +1,6 @@
 from fractions import Fraction
+from math import isqrt
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -60,6 +62,30 @@ class TestFirstTerm:
                 assert find_first_term(q0) == (m, RemainderState(a, b, 1))
             positive = generate(q0, GenerationConfig(mode="positive", partial=True, max_digits=1))
             assert positive.terms[:2] == (FormulaTerm(1, q0, m), FormulaTerm(1, -(-b // a)))
+
+    @given(st.data())
+    @settings(max_examples=100)
+    def test_overshoot_choice_matches_cross_product(self, data):
+        # frames B + y*i with B = k*y + r and k next to 2q, the band where
+        # the quotient alone cannot decide; r is drawn near the root of
+        # r*(2q*y + r) = y*y as well
+        q = data.draw(st.one_of(st.integers(2, 50), st.integers(2, 10 ** 30)))
+        y = data.draw(st.one_of(st.integers(1, 10 ** 6), st.integers(1, 10 ** 60)))
+        k = data.draw(st.sampled_from([2 * q - 1, 2 * q, 2 * q + 1]))
+        root = isqrt(y * y * (q * q + 1)) - q * y
+        r = data.draw(st.one_of(st.integers(0, y - 1),
+                                st.integers(root - 2, root + 2).map(lambda v: min(max(v, 0), y - 1))))
+        B = k * y + r
+        with mock.patch("machin.generator.remainder_power", lambda q0, m: (B, y)):
+            m, _ = find_first_term(q)
+        B2, y2 = q * B + y, q * y - B
+        assert m == (q * _PI_QUARTER_Q64 >> 64) + (y * B2 + B * y2 > 0)
+
+    @pytest.mark.parametrize("q0", [35, 2034, 2486])
+    def test_sweep_reaches_the_tie_band(self, q0):
+        # test_matches_plain_walk covers these q0, where B // y == 2*q0
+        _, a, b = _floor_first(q0)
+        assert b // a == 2 * q0
 
     def test_walk_starts_at_or_below_m(self):
         # the walk starts at floor(c*q0), c = _PI_QUARTER_Q64 / 2^64; that is

@@ -179,14 +179,23 @@ class TestCheckIdentity:
                                                          max_digits=digits)))
 
     def test_single_term_forgeries_fail(self):
-        # no k*arctan(1/q0) is pi/4 for q0 >= 2; the check takes k - 1 of
-        # the factors as one power and tests the last one on its own
+        # no k*arctan(1/q0) is pi/4 for q0 >= 2; fold_formula still folds
+        # all k factors as one power, which check_identity skips
         for q0 in range(2, 30):
             for k in range(1, 60):
                 f = complete_formula(q0, k, [])
                 assert fold_outcome(fold_formula, f) == fold_outcome(tangent_addition_fold, f)
                 with pytest.raises(FoldError):
                     check_identity(f)
+
+    @pytest.mark.parametrize("q0,k", [(2, 1), (5, 4), (7, 6), (29, 59)])
+    def test_single_term_fails_unfolded(self, q0, k, monkeypatch):
+        def no_power(q, m):
+            raise AssertionError("a single term must not be folded")
+
+        monkeypatch.setattr("machin.verify.remainder_power", no_power)
+        with pytest.raises(FoldError, match="does not end on tangent 1"):
+            check_identity(complete_formula(q0, k, []))
 
     def test_large_first_term_prefix(self):
         # m = 78540 factors of (100000 - i) in the fold's first power
@@ -299,7 +308,7 @@ class TestCheckIdentity:
             "scaled": RemainderState(3 * rem.A, 3 * rem.B, rem.delta),
             "negated": None,
         }[change]
-        if forged is None:  # (1+i)(2-i)^8 = -(863 + 191i): cross product 0, dot product < 0
+        if forged is None:  # (1+i)(2-i)^8 = -(863 + 191i): x*a == y*b, x < 0
             f = MachinFormula(2, (FormulaTerm(1, 2, 8),), False, RemainderState(191, 863, 1))
             with pytest.raises(FoldError):
                 check_identity(f)
@@ -308,6 +317,15 @@ class TestCheckIdentity:
         else:
             with pytest.raises(FoldError):
                 check_identity(MachinFormula(f.q0, f.terms, False, forged, f.mode))
+
+    def test_remainder_without_the_fold_content_passes(self):
+        # arctan(1/3) + arctan(1/7) + arctan(1/3) = pi/4; the prefix folds
+        # to (1+i)(3-i)(7-i) = 10*(3 + i), a multiple of the remainder
+        f = MachinFormula(3, (FormulaTerm(1, 3, 1), FormulaTerm(1, 7)), False,
+                          RemainderState(1, 3, 1))
+        check_identity(f)
+        with pytest.raises(FoldError, match="recorded remainder"):
+            check_identity(f._replace(final_remainder=RemainderState(1, 3, -1)))
 
     def test_partial_without_remainder_raises(self):
         f = generate(12, GenerationConfig(partial=True, max_digits=80))
