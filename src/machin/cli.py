@@ -11,10 +11,13 @@ strings, are still read.
 
 Exit codes: 0 ok, 1 stdout closed before all output was written, 2 bad
 input, 3 cutoff without --partial, 4 precision unachievable, 5 identity
-check failed, 6 partial formula records no remainder. ``verify`` and
-``pi --formula`` check a document before printing anything: a complete
-one must fold to tangent 1, a partial one onto its recorded remainder, and
-the sum must lie within 2*pi of pi/4.
+check failed, 6 partial formula records no remainder. The parser checks
+every argument (an invalid one exits 2 with argparse's usage line); the
+verbs are straight lines of library calls that let failures propagate,
+and ``main`` alone turns them into exit codes, through ``_FAILURES``.
+``verify`` and ``pi --formula`` check a document before printing
+anything: a complete one must fold to tangent 1, a partial one onto its
+recorded remainder, and the sum must lie within 2*pi of pi/4.
 """
 from __future__ import annotations
 
@@ -25,6 +28,7 @@ from .errors import (
     FoldError,
     GenerationCutoffError,
     IncompleteFormulaError,
+    MachinError,
     PrecisionUnachievableError,
 )
 from .evaluator import compute_pi
@@ -64,15 +68,6 @@ EXIT_PARTIAL_NOT_VERIFIABLE = 6
 _PI_DIGIT_MARGIN = 30
 
 
-def _fail(message: str, code: int) -> int:
-    print(f"machin: error: {message}", file=sys.stderr)
-    return code
-
-
-def _hex(n) -> str:
-    return "0x" + format(n, "x")
-
-
 # deletes every lowercase hex digit, so nothing is left of a valid body
 _DROP_HEX_DIGITS = str.maketrans("", "", "0123456789abcdef")
 
@@ -100,14 +95,14 @@ def formula_to_document(formula: MachinFormula, lehmer: LehmerResult) -> dict:
     """
     doc = {
         "schema_version": SCHEMA_VERSION,
-        "q0": _hex(formula.q0),
-        "m": _hex(formula.terms[0].coefficient),
+        "q0": hex(formula.q0),
+        "m": hex(formula.terms[0].coefficient),
         "mode": formula.mode,
         "complete": formula.complete,
         "terms": [
             {
                 "sign": "+" if term.sign > 0 else "-",
-                "q": _hex(term.q),
+                "q": hex(term.q),
                 "lg_q": log10_approx(term.q),
             }
             for term in formula.terms[1:]
@@ -117,8 +112,8 @@ def formula_to_document(formula: MachinFormula, lehmer: LehmerResult) -> dict:
     rem = formula.final_remainder
     if rem is not None:
         doc["final_remainder"] = {
-            "A": _hex(rem.A),
-            "B": _hex(rem.B),
+            "A": hex(rem.A),
+            "B": hex(rem.B),
             "delta": "+" if rem.delta > 0 else "-",
         }
     return doc
@@ -179,108 +174,88 @@ def render_text(formula: MachinFormula, lehmer: LehmerResult, sanity: float,
     return "\n".join(lines)
 
 
-def _parse_q0(text: str):
-    try:
-        q0 = from_decimal_string(text)
-    except ValueError:
-        return None
-    return q0 if q0 >= 2 else None
+class _LoadError(MachinError):
+    """A formula document that cannot be read or parsed."""
+
+
+# how main reports a library failure: exit code and message prefix, by type
+_FAILURES = (
+    (_LoadError, EXIT_BAD_INPUT, "cannot load formula: "),
+    (GenerationCutoffError, EXIT_CUTOFF, ""),
+    (PrecisionUnachievableError, EXIT_PRECISION, ""),
+    (FoldError, EXIT_IDENTITY_FAILED, "identity check failed: "),
+    (IncompleteFormulaError, EXIT_PARTIAL_NOT_VERIFIABLE, ""),
+)
 
 
 def _load_formula(path: str) -> MachinFormula:
+    """Read a formula document and check that it is an identity."""
     import json  # json loads re; only the verbs that read or write JSON pay for it
 
-    with open(path, "r", encoding="utf-8") as handle:
-        return document_to_formula(json.load(handle))
-
-
-def _check_identity(formula) -> int | None:
-    """Exit code for a formula that fails check_identity, None if it passes."""
     try:
-        check_identity(formula)
-    except IncompleteFormulaError as exc:
-        return _fail(str(exc), EXIT_PARTIAL_NOT_VERIFIABLE)
-    except FoldError as exc:
-        return _fail(f"identity check failed: {exc}", EXIT_IDENTITY_FAILED)
-    return None
+        with open(path, "r", encoding="utf-8") as handle:
+            formula = document_to_formula(json.load(handle))
+    except (OSError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
+        raise _LoadError(exc) from exc
+    check_identity(formula)
+    return formula
 
 
-def _cmd_generate(args) -> int:
-    q0 = _parse_q0(args.q0)
-    if q0 is None:
-        return _fail(f"q0 must be an integer >= 2, got {args.q0!r}", EXIT_BAD_INPUT)
-    if args.max_digits < 1:
-        return _fail("--max-digits must be at least 1", EXIT_BAD_INPUT)
-    if args.display_digit_limit < 1:
-        return _fail("--display-digit-limit must be at least 1", EXIT_BAD_INPUT)
+def _cmd_generate(args) -> None:
     config = GenerationConfig(mode=args.mode, partial=args.partial, max_digits=args.max_digits)
     try:
-        formula = generate(q0, config)
+        formula = generate(args.q0, config)
     except GenerationCutoffError as exc:
-        return _fail(f"{exc} (use --partial to keep the truncated series)", EXIT_CUTOFF)
+        raise GenerationCutoffError(f"{exc} (use --partial to keep the truncated series)") from exc
     lehmer = lehmer_measure(formula)
-    sanity = float_sanity(formula)
     if args.format == "json":
         import json
 
         print(json.dumps(formula_to_document(formula, lehmer), indent=2))
     else:
-        print(render_text(formula, lehmer, sanity, args.display_digit_limit))
-    return EXIT_OK
+        print(render_text(formula, lehmer, float_sanity(formula), args.display_digit_limit))
 
 
-def _cmd_pi(args) -> int:
-    if args.digits < 1:
-        return _fail("--digits must be at least 1", EXIT_BAD_INPUT)
+def _cmd_pi(args) -> None:
     if args.formula is not None:
-        try:
-            formula = _load_formula(args.formula)
-        except (OSError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
-            return _fail(f"cannot load formula: {exc}", EXIT_BAD_INPUT)
-        failed = _check_identity(formula)
-        if failed is not None:
-            return failed
+        formula = _load_formula(args.formula)
     else:
-        q0 = _parse_q0(args.q0)
-        if q0 is None:
-            return _fail(f"--q0 must be an integer >= 2, got {args.q0!r}", EXIT_BAD_INPUT)
         # partial generation sized to the request: the budget only needs one
         # dropped term beyond ~10^digits to anchor the tail bound
         config = GenerationConfig(partial=True, max_digits=args.digits + _PI_DIGIT_MARGIN)
-        formula = generate(q0, config)
-    try:
-        print(compute_pi(formula, args.digits))
-    except PrecisionUnachievableError as exc:
-        return _fail(str(exc), EXIT_PRECISION)
-    return EXIT_OK
+        formula = generate(args.q0, config)
+    print(compute_pi(formula, args.digits))
 
 
-def _cmd_verify(args) -> int:
-    if (args.q0 is None) == (args.formula is None):
-        return _fail("pass exactly one of <q0> or --formula", EXIT_BAD_INPUT)
+def _cmd_verify(args) -> None:
     if args.formula is not None:
-        try:
-            formula = _load_formula(args.formula)
-        except (OSError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
-            return _fail(f"cannot load formula: {exc}", EXIT_BAD_INPUT)
+        _load_formula(args.formula)
     else:
-        q0 = _parse_q0(args.q0)
-        if q0 is None:
-            return _fail(f"q0 must be an integer >= 2, got {args.q0!r}", EXIT_BAD_INPUT)
-        try:
-            formula = generate(q0)
-        except GenerationCutoffError as exc:
-            return _fail(str(exc), EXIT_CUTOFF)
-    failed = _check_identity(formula)
-    if failed is not None:
-        return failed
+        check_identity(generate(args.q0))
     print("IDENTITY OK")
-    return EXIT_OK
+
+
+def _at_least(low: int, parse):
+    """Argument type: the value parse(text) gives, if it is at least low."""
+    import argparse
+
+    def check(text):
+        try:
+            value = parse(text)
+            if value >= low:
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {text!r}")
+
+    return check
 
 
 def _build_parser():
     import argparse  # it and the gettext it loads are needed by main alone
 
+    q0_int = _at_least(2, from_decimal_string)
+    positive_int = _at_least(1, int)
     parser = argparse.ArgumentParser(
         prog="machin",
         description="Generate Machin-like arctangent identities for pi/4, "
@@ -289,37 +264,42 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="build the identity for a starting denominator")
-    gen.add_argument("q0", help="starting denominator (integer >= 2)")
+    gen.add_argument("q0", type=q0_int, help="starting denominator (integer >= 2)")
     gen.add_argument("--mode", choices=["signed", "positive"], default="signed")
     gen.add_argument("--partial", action="store_true",
                      help="keep a truncated series when terms outgrow --max-digits")
-    gen.add_argument("--max-digits", type=int, default=1_000_000, metavar="N",
+    gen.add_argument("--max-digits", type=positive_int, default=1_000_000, metavar="N",
                      help="digit budget per term denominator (default 1000000)")
-    gen.add_argument("--display-digit-limit", type=int, default=200, metavar="N",
+    gen.add_argument("--display-digit-limit", type=positive_int, default=200, metavar="N",
                      help="print lg Q instead of integers wider than N digits (default 200)")
     gen.add_argument("--format", choices=["text", "json"], default="text")
     gen.set_defaults(func=_cmd_generate)
 
     pi = sub.add_parser("pi", help="compute pi digits from a formula")
     src = pi.add_mutually_exclusive_group(required=True)
-    src.add_argument("--q0", help="generate the formula for this starting denominator")
+    src.add_argument("--q0", type=q0_int,
+                     help="generate the formula for this starting denominator")
     src.add_argument("--formula", metavar="PATH", help="load a formula document (JSON)")
-    pi.add_argument("--digits", type=int, required=True, metavar="D",
+    pi.add_argument("--digits", type=positive_int, required=True, metavar="D",
                     help="number of decimal digits after the leading 3")
     pi.set_defaults(func=_cmd_pi)
 
     ver = sub.add_parser("verify", help="fold a formula and check it lands on arctan(1)")
-    ver.add_argument("q0", nargs="?", default=None,
+    src = ver.add_mutually_exclusive_group(required=True)
+    src.add_argument("q0", type=q0_int, nargs="?",
                      help="generate and verify the identity for this q0")
-    ver.add_argument("--formula", metavar="PATH", help="verify a formula document (JSON)")
+    src.add_argument("--formula", metavar="PATH", help="verify a formula document (JSON)")
     ver.set_defaults(func=_cmd_verify)
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
-        code = args.func(args)
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # --help, or an argument the parser rejects
+        return exc.code
+    try:
+        args.func(args)
         sys.stdout.flush()  # a closed reader (`machin pi ... | head`) shows up here
     except BrokenPipeError:
         # the interpreter flushes stdout again at exit; point it at devnull
@@ -327,7 +307,13 @@ def main(argv=None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
-    return code
+    except MachinError as exc:
+        for kind, code, prefix in _FAILURES:
+            if isinstance(exc, kind):
+                print(f"machin: error: {prefix}{exc}", file=sys.stderr)
+                return code
+        raise
+    return EXIT_OK
 
 
 if __name__ == "__main__":  # pragma: no cover

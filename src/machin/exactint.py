@@ -23,6 +23,7 @@ import sys
 from collections import namedtuple
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, localcontext
 from functools import lru_cache
+from operator import index
 
 from ._bigint import HAVE_GMPY2, bigint
 
@@ -96,6 +97,7 @@ class Ratio(Record, namedtuple("Ratio", "num den")):
     __slots__ = ()
 
     def __new__(cls, num, den):
+        num, den = index(num), index(den)
         if den == 0:
             raise ValueError("Ratio denominator must be nonzero")
         if den < 0:
@@ -286,7 +288,7 @@ def from_decimal_string(s: str) -> int:
     """
     text = s.strip()
     body = text[1:] if text[:1] in "+-" else text
-    if not body.isdigit():
+    if not (body.isascii() and body.isdigit()):
         raise ValueError(f"not a decimal integer: {s!r}")
     if HAVE_GMPY2:
         return int(bigint(text))

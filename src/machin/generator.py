@@ -16,16 +16,14 @@ partial identity). Two term-selection rules are supported:
 The remainder is the Gaussian integer B + y*i with y = delta*A, the frame
 that ``verify`` folds in, and every step multiplies it by (q - delta*i):
 ``exactint.remainder_power`` for the first term, ``exactint.remainder_step``
-for the walk and each later term. The step forms the short new imaginary
-part q*y - delta*B first; once A and that part have fewer than 1/64 of q's
-bits, which is nearly every step of a deep run, it gets B' = q*B + A as
-delta*((q*q + 1)*y - q*y'), one squaring of q plus short multiplies instead
-of the big-by-big q*B. The first-term walk, with its small q0, and runs
-whose first remainder is still long next to q keep q*B + A.
+for the walk and each later term. Deep in a run, where A is short next to
+q, the step trades the big-by-big q*B for a squaring of q; ``exactint``
+says when.
 """
 from __future__ import annotations
 
 from collections import namedtuple
+from operator import index
 
 from ._bigint import bigint
 from .errors import GenerationCutoffError
@@ -51,6 +49,7 @@ class RemainderState(Record, namedtuple("RemainderState", "A B delta")):
     __slots__ = ()
 
     def __new__(cls, A, B, delta):
+        A, B, delta = index(A), index(B), index(delta)
         if A < 0:
             raise ValueError("remainder numerator A must be nonnegative")
         if B <= 0:
@@ -66,6 +65,7 @@ class FormulaTerm(Record, namedtuple("FormulaTerm", "sign q coefficient")):
     __slots__ = ()
 
     def __new__(cls, sign, q, coefficient=1):
+        sign, q, coefficient = index(sign), index(q), index(coefficient)
         if sign not in (-1, 1):
             raise ValueError("term sign must be -1 or +1")
         if q < 1:
@@ -88,6 +88,7 @@ class MachinFormula(Record, namedtuple(
     __slots__ = ()
 
     def __new__(cls, q0, terms, complete, final_remainder=None, mode="signed"):
+        q0 = index(q0)
         if not terms:
             raise ValueError("a formula needs at least one term")
         first = terms[0]
@@ -113,6 +114,7 @@ class GenerationConfig(Record, namedtuple("GenerationConfig", "mode partial max_
     __slots__ = ()
 
     def __new__(cls, mode="signed", partial=False, max_digits=1_000_000):
+        max_digits = index(max_digits)
         if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
         if max_digits < 1:
@@ -135,10 +137,10 @@ def _first_term(q0, mode):
     B/y < q + sqrt(q*q + 1), a bound in (2q, 2q + 1). So B = k*y + r
     decides by k < 2q, or by r*(2q*y + r) < y*y when k == 2q.
     """
-    q = bigint(int(q0))
-    if q < 2:
+    q0 = index(q0)
+    if q0 < 2:
         raise ValueError("q0 must be at least 2 (q0 = 1 is the bare arctan(1) identity)")
-    m = q * _PI_QUARTER_Q64 >> 64
+    q, m = bigint(q0), q0 * _PI_QUARTER_Q64 >> 64
     B, y = remainder_power(q, m)
     while True:
         B2, y2 = remainder_step(B, y, q, 1)
@@ -148,13 +150,13 @@ def _first_term(q0, mode):
     if mode == "signed":
         k, r = divmod(B, y)
         if k < 2 * q or k == 2 * q and r * (2 * q * y + r) < y * y:
-            return int(q), m + 1, B2, y2
-    return int(q), m, B, y
+            return q0, m + 1, B2, y2
+    return q0, m, B, y
 
 
 def _remainder(B, y, delta):
     """The RemainderState of the frame B + y*i; delta stays when y = 0."""
-    return RemainderState(int(abs(y)), int(B), (1 if y > 0 else -1) if y else delta)
+    return RemainderState(abs(y), B, (1 if y > 0 else -1) if y else delta)
 
 
 def find_first_term(q0):
@@ -183,7 +185,7 @@ def _next_term(state: RemainderState, pick):
     A, B = bigint(state.A), bigint(state.B)
     q, _ = pick(A, B)
     B2, y2 = remainder_step(B, state.delta * A, q, state.delta)
-    return FormulaTerm(sign=state.delta, q=int(q)), _remainder(B2, y2, state.delta)
+    return FormulaTerm(sign=state.delta, q=q), _remainder(B2, y2, state.delta)
 
 
 def next_term_signed(state: RemainderState):
@@ -219,7 +221,7 @@ def generate(q0, config: GenerationConfig | None = None) -> MachinFormula:
     while True:
         delta = 1 if y > 0 else -1
         qn, exact = pick(abs(y), B)
-        terms.append(FormulaTerm(sign=delta, q=int(qn)))
+        terms.append(FormulaTerm(sign=delta, q=qn))
         if exact:  # complete: the B' after this term is never needed
             return MachinFormula(q0, tuple(terms), True, None, cfg.mode)
         B, y = remainder_step(B, y, qn, delta)

@@ -11,10 +11,7 @@ imaginary part stays as small as A while the real part grows, and each
 factor costs one big multiply, not the two that P needs. The fold shares
 the generator's core: the first term is one Gaussian power,
 (1+i)*(q0 - i)^m by ``exactint.remainder_power``, and every later term is
-one ``exactint.remainder_step``. Once A (and the next A) has fewer than
-1/64 of q's bits, that step's multiply is a squaring of q,
-x' = s*((q*q + 1)*y - q*y'), cheaper than q times the long real part. No
-fraction reduction is performed.
+one ``exactint.remainder_step``. No fraction reduction is performed.
 
 ``check_identity`` is the check made before a loaded formula is trusted.
 It treats a complete formula as a partial one whose remainder is its last
@@ -76,7 +73,7 @@ def fold_formula(formula) -> Ratio:
         raise IncompleteFormulaError("cannot verify a partial formula as an identity")
     # x + y*i = (1+i)*(den - num*i): x = den + num, y = den - num
     x, y = _fold(formula.terms)
-    return Ratio(int((x - y) >> 1), int((x + y) >> 1))
+    return Ratio((x - y) >> 1, (x + y) >> 1)
 
 
 def _check_branch(formula):

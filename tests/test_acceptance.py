@@ -59,9 +59,9 @@ def test_criterion_02_lehmer_values():
 
 
 @pytest.mark.long
-def test_criterion_03_deep_complete_run_q28():
-    started = time.perf_counter()
-    formula = generate(28, GenerationConfig(max_digits=12_000_000))
+def test_criterion_03_deep_complete_run_q28(deep_q28):
+    formula, build_s = deep_q28
+    started = time.perf_counter() - build_s
     ref = REFERENCE_RUNS[28]
     assert formula.complete
     assert len(formula.terms) == 1 + len(ref["terms"]) + len(ref["lg_terms"])  # 23 terms

@@ -223,7 +223,7 @@ class TestGenerateCommand:
         assert json.dumps(again) == json.dumps(doc)
 
     def test_invalid_q0(self, capsys):
-        for bad in ("1", "0", "-4", "seven", "2.5"):
+        for bad in ("1", "0", "-4", "seven", "2.5", "\u0665", "\uff15", "\u00b2"):
             code, out, err = run_cli(capsys, "generate", bad)
             assert code == EXIT_BAD_INPUT
             assert out == "" and "q0" in err
@@ -276,7 +276,16 @@ class TestGenerateCommand:
         assert json.dumps(again) == json.dumps(doc)
 
     @pytest.mark.long
-    def test_deep_complete_listing_q28(self, capsys):
+    def test_deep_complete_listing_q28(self, capsys, monkeypatch, deep_q28):
+        # the acceptance test checks this formula against the golden run;
+        # here the CLI must ask for exactly it and print it
+        formula, _ = deep_q28
+
+        def built_once(q0, config):
+            assert (q0, config) == (28, GenerationConfig(max_digits=12_000_000))
+            return formula
+
+        monkeypatch.setattr("machin.cli.generate", built_once)
         ref = REFERENCE_RUNS[28]
         code, out, err = run_cli(capsys, "generate", "28", "--max-digits", "12000000")
         assert code == EXIT_OK and err == ""
@@ -463,6 +472,28 @@ class TestVerifyCommand:
 
     def test_bad_q0(self, capsys):
         assert run_cli(capsys, "verify", "1")[0] == EXIT_BAD_INPUT
+
+
+@pytest.mark.parametrize("argv, code", [
+    ([], EXIT_BAD_INPUT),
+    (["--help"], EXIT_OK),
+    (["generate", "--help"], EXIT_OK),
+    (["pi", "--q0", "5", "--digits", "x"], EXIT_BAD_INPUT),
+    (["pi", "--q0", "5"], EXIT_BAD_INPUT),
+    (["generate", "5", "--display-digit-limit", "0"], EXIT_BAD_INPUT),
+    (["verify"], EXIT_BAD_INPUT),
+    (["verify", "5", "--formula", "f.json"], EXIT_BAD_INPUT),
+    (["nonsense"], EXIT_BAD_INPUT),
+])
+def test_main_returns_the_exit_code(capsys, argv, code):
+    # argparse exits through SystemExit; main turns that into its return value
+    assert run_cli(capsys, *argv)[0] == code
+
+
+def test_argument_errors_name_the_argument(capsys):
+    code, out, err = run_cli(capsys, "generate", "5", "--max-digits", "0")
+    assert code == EXIT_BAD_INPUT and out == ""
+    assert "usage:" in err and "--max-digits" in err and ">= 1" in err
 
 
 def test_closed_stdout_exits_without_traceback():

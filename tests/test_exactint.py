@@ -317,9 +317,11 @@ class TestDigitHelpers:
         "", " ", "+", "-", "--1", "+-1", "12.5", "1e5", "1_0", "0x10", "ten", "1 2",
         pytest.param("1" * 3000 + "_" + "1" * 3000, id="long-underscore"),
         pytest.param("9" * 5000 + ".0", id="long-point"),
+        # str.isdigit() holds for each: Arabic-Indic five, fullwidth five, superscript two
+        "\u0665", "\uff15", "\u00b2", "1\u00b2", "-\u0665",
     ])
     def test_from_decimal_string_rejects_garbage(self, bad):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="not a decimal integer"):
             from_decimal_string(bad)
 
     @needs_int_str_limit

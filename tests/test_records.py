@@ -22,6 +22,7 @@ from machin.generator import (
     GenerationConfig,
     MachinFormula,
     RemainderState,
+    find_first_term,
     generate,
 )
 from machin.measure import LehmerResult, lehmer_measure
@@ -146,6 +147,42 @@ def test_validation_messages(make, message):
     with pytest.raises(ValueError) as info:
         make()
     assert str(info.value) == message
+
+
+NOT_INTEGERS = [
+    lambda: generate(5.9),
+    lambda: find_first_term(7.99),
+    lambda: FormulaTerm(1, 5.5),
+    lambda: FormulaTerm(1.0, 5),
+    lambda: RemainderState(0.5, 2.5, 1),
+    lambda: Ratio(3.0, 4),
+    lambda: MachinFormula(5.0, (T5, T239), True),
+    lambda: GenerationConfig(max_digits=50.0),
+    lambda: generate(1000, GenerationConfig(partial=True, max_digits=400))
+    .final_remainder._replace(delta=1.0),
+]
+
+
+@pytest.mark.parametrize("make", NOT_INTEGERS, ids=[
+    "generate", "find_first_term", "FormulaTerm-q", "FormulaTerm-sign", "RemainderState",
+    "Ratio", "MachinFormula", "GenerationConfig", "rebuilt-remainder-delta"])
+def test_integer_fields_reject_floats(make):
+    with pytest.raises(TypeError):
+        make()
+
+
+def test_integer_fields_hold_plain_ints():
+    class Wide(int):
+        pass
+
+    fields = [
+        *Ratio(Wide(3), Wide(-4)),
+        *RemainderState(Wide(1), Wide(5), Wide(-1)),
+        *FormulaTerm(True, Wide(239), Wide(1)),
+        MachinFormula(Wide(5), (T5, T239), True).q0,
+        GenerationConfig(max_digits=Wide(50)).max_digits,
+    ]
+    assert all(type(value) is int for value in fields)
 
 
 def test_keyword_construction_and_defaults():
