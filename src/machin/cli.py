@@ -255,7 +255,7 @@ def _build_parser():
     import argparse  # it and the gettext it loads are needed by main alone
 
     q0_int = _at_least(2, from_decimal_string)
-    positive_int = _at_least(1, int)
+    positive_int = _at_least(1, from_decimal_string)
     parser = argparse.ArgumentParser(
         prog="machin",
         description="Generate Machin-like arctangent identities for pi/4, "
@@ -284,7 +284,8 @@ def _build_parser():
                     help="number of decimal digits after the leading 3")
     pi.set_defaults(func=_cmd_pi)
 
-    ver = sub.add_parser("verify", help="fold a formula and check it lands on arctan(1)")
+    ver = sub.add_parser("verify", help="fold a formula and check it lands on arctan(1)",
+                         usage="%(prog)s [-h] (q0 | --formula PATH)")
     src = ver.add_mutually_exclusive_group(required=True)
     src.add_argument("q0", type=q0_int, nargs="?",
                      help="generate and verify the identity for this q0")

@@ -19,7 +19,6 @@ built-in ``str()``/``int()`` conversions it makes are on pieces of at most
 """
 from __future__ import annotations
 
-import sys
 from collections import namedtuple
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, localcontext
 from functools import lru_cache
@@ -66,8 +65,8 @@ class Record:
 
     _replace builds through _make, which is sent through the record's own
     __new__ and its checks. The repr is the text namedtuple prints, but int
-    fields, and both parts of a Fraction, go through to_decimal_string, so
-    the interpreter's int/str digit limit never applies.
+    fields go through to_decimal_string, so the interpreter's int/str digit
+    limit never applies.
     """
 
     __slots__ = ()
@@ -75,19 +74,9 @@ class Record:
     _make = classmethod(lambda cls, values: cls(*values))
 
     def __repr__(self):
-        # a Fraction field means fractions is loaded; importing it here
-        # would load it for every record
-        fractions = sys.modules.get("fractions")
-
-        def field(value):
-            if type(value) is int:
-                return to_decimal_string(value)
-            if fractions is not None and type(value) is fractions.Fraction:
-                return (f"Fraction({to_decimal_string(value.numerator)}, "
-                        f"{to_decimal_string(value.denominator)})")
-            return repr(value)
-
-        fields = ", ".join(f"{name}={field(value)}" for name, value in zip(self._fields, self))
+        fields = ", ".join(
+            f"{name}={to_decimal_string(value) if type(value) is int else repr(value)}"
+            for name, value in zip(self._fields, self))
         return f"{type(self).__name__}({fields})"
 
 
@@ -144,7 +133,7 @@ def log10_approx(x) -> float:
     decide the last bit), so the only error left is the final rounding to
     a double. Powers of ten come out exact.
     """
-    n = int(x)
+    n = index(x)
     if n <= 0:
         raise ValueError("log10_approx requires a positive integer")
     shift = max(n.bit_length() - 64, 0)
@@ -200,7 +189,7 @@ def _pow10(digits: int):
 
 def decimal_digits(x) -> int:
     """Exact number of decimal digits of |x| (zero counts as one digit)."""
-    n = abs(int(x))
+    n = abs(index(x))
     if n == 0:
         return 1
     d = max(1, int(n.bit_length() / 3.321928094887362))
@@ -219,7 +208,7 @@ def exceeds_digits(x, digits: int) -> bool:
     """
     if digits < 1:
         raise ValueError("digit budget must be at least 1")
-    n = abs(int(x))
+    n = abs(index(x))
     bits = n.bit_length()
     # 3.3219 < log2(10) < 3.32193, so these bounds are safe in both directions.
     if bits * 10000 <= digits * 33219:
@@ -258,9 +247,9 @@ def to_decimal_string(x) -> str:
     is split on bits into Decimal pieces, which libmpdec recombines with
     subquadratic multiplication, and the Decimal is printed.
     """
+    n = index(x)
     if HAVE_GMPY2:
-        return bigint(x).digits(10)
-    n = int(x)
+        return bigint(n).digits(10)
     sign = "-" if n < 0 else ""
     n = abs(n)
     if n.bit_length() <= _LEAF_BITS:

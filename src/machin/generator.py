@@ -89,6 +89,8 @@ class MachinFormula(Record, namedtuple(
 
     def __new__(cls, q0, terms, complete, final_remainder=None, mode="signed"):
         q0 = index(q0)
+        if not isinstance(complete, bool):
+            raise TypeError("complete must be a bool")
         if not terms:
             raise ValueError("a formula needs at least one term")
         first = terms[0]
@@ -115,6 +117,8 @@ class GenerationConfig(Record, namedtuple("GenerationConfig", "mode partial max_
 
     def __new__(cls, mode="signed", partial=False, max_digits=1_000_000):
         max_digits = index(max_digits)
+        if not isinstance(partial, bool):
+            raise TypeError("partial must be a bool")
         if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
         if max_digits < 1:

@@ -164,13 +164,14 @@ def test_criterion_08_budget_soundness():
         for q0 in (5, 9, 10):
             formula = generate(q0)
             budget = plan_budget(formula, digits)
-            inv_eps2 = 1 / budget.epsilon2
+            eps2 = Fraction(*budget.epsilon2)
+            inv_eps2 = 1 / eps2
             for term, K in zip(formula.terms[: budget.accepted_terms],
                                budget.maclaurin_lengths):
                 q = term.q
                 assert (2 * K + 3) * q ** (2 * K + 3) > inv_eps2
                 assert (2 * K + 1) * q ** (2 * K + 1) <= inv_eps2  # K-1 violates
-                assert Fraction(1, (2 * K + 3) * q ** (2 * K + 3)) < budget.epsilon2
+                assert Fraction(1, (2 * K + 3) * q ** (2 * K + 3)) < eps2
     print("[criterion 8] PASS Maclaurin lengths are minimal for their exact "
           "integer inequalities")
 

@@ -496,6 +496,29 @@ def test_argument_errors_name_the_argument(capsys):
     assert "usage:" in err and "--max-digits" in err and ">= 1" in err
 
 
+@pytest.mark.parametrize("value", ["\u0665", "1_0"])  # an Arabic-Indic 5; an underscore
+@pytest.mark.parametrize("verb, flag", [
+    (["pi", "--q0", "5"], "--digits"),
+    (["generate", "5"], "--max-digits"),
+    (["generate", "5"], "--display-digit-limit"),
+])
+def test_counts_take_ascii_digits_only(capsys, verb, flag, value):
+    # parsed as q0 is, not by int(), which takes both
+    code, out, err = run_cli(capsys, *verb, flag, value)
+    assert code == EXIT_BAD_INPUT and out == ""
+    assert flag in err and ">= 1" in err
+
+
+def test_verify_usage_shows_one_required_source(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--help")
+    assert code == EXIT_OK
+    assert out.startswith("usage: machin verify [-h] (q0 | --formula PATH)\n")
+    code, out, err = run_cli(capsys, "verify")
+    assert code == EXIT_BAD_INPUT and out == ""
+    assert err.startswith("usage: machin verify [-h] (q0 | --formula PATH)\n")
+    assert "one of the arguments q0 --formula is required" in err
+
+
 def test_closed_stdout_exits_without_traceback():
     proc = subprocess.Popen(
         [sys.executable, "-m", "machin", "pi", "--q0", "5", "--digits", "2000"],

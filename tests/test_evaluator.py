@@ -21,9 +21,9 @@ needs_int_str_limit = pytest.mark.skipif(
 )
 
 
-def maclaurin_error_small_enough(q, K, eps2: Fraction) -> bool:
+def maclaurin_error_small_enough(q, K, eps2) -> bool:
     """Independent check of 1/((2K+3)*q^(2K+3)) < eps2, in exact rationals."""
-    return Fraction(1, (2 * K + 3) * q ** (2 * K + 3)) < eps2
+    return Fraction(1, (2 * K + 3) * q ** (2 * K + 3)) < Fraction(*eps2)
 
 
 def plain_series_length(q, bound):
@@ -44,17 +44,18 @@ FORGED_TAIL = with_fold_remainder([FormulaTerm(1, 5, 4), FormulaTerm(1, 10 ** 30
 class TestPlanBudget:
     def test_epsilon_split_matches_closed_form(self):
         budget = plan_budget(generate(5), 10)
-        eps = Fraction(1, 10 ** 10)
-        assert budget.epsilon == eps
-        assert budget.epsilon1 == eps / (2 + eps)
-        assert budget.epsilon1 == Fraction(1, 2 * 10 ** 10 + 1)
+        eps, eps1 = Fraction(*budget.epsilon), Fraction(*budget.epsilon1)
+        assert eps == Fraction(1, 10 ** 10)
+        assert eps1 == eps / (2 + eps)
+        assert eps1 == Fraction(1, 2 * 10 ** 10 + 1)
 
     def test_q5_digits50_keeps_both_terms(self):
         f = generate(5)
         budget = plan_budget(f, 50)
         assert budget.accepted_terms == 2  # 1/239 is far above eps1
         m = f.terms[0].coefficient
-        assert budget.epsilon2 == budget.epsilon1 / ((1 - budget.epsilon1) * (m + 2 - 1))
+        eps1 = Fraction(*budget.epsilon1)
+        assert Fraction(*budget.epsilon2) == eps1 / ((1 - eps1) * (m + 2 - 1))
         # each K is minimal for its exact inequality
         for term, K in zip(f.terms, budget.maclaurin_lengths):
             assert maclaurin_error_small_enough(term.q, K, budget.epsilon2)
@@ -63,7 +64,7 @@ class TestPlanBudget:
     def test_q10_digits20_accepts_strict_prefix(self):
         f = generate(10)
         budget = plan_budget(f, 20)
-        eps1 = budget.epsilon1
+        eps1 = Fraction(*budget.epsilon1)
         # oracle: keep while 1/q >= eps1, i.e. q <= 2*10^20 + 1
         expected = len(f.terms)
         for k, term in enumerate(f.terms[1:], start=1):
@@ -104,6 +105,12 @@ class TestPlanBudget:
     def test_rejects_zero_digits(self):
         with pytest.raises(ValueError):
             plan_budget(generate(5), 0)
+
+    def test_rejects_float_digits(self):
+        with pytest.raises(TypeError):
+            plan_budget(generate(5), 10.0)
+        with pytest.raises(TypeError):
+            compute_pi(generate(5), 10.0)
 
     def test_partial_formula_without_remainder(self):
         f = generate(10, GenerationConfig(partial=True, max_digits=20))
@@ -195,6 +202,12 @@ class TestArctanFixed:
     def test_rejects_small_q(self):
         with pytest.raises(ValueError):
             arctan_recip_fixed(1, 3, 10)
+
+    @pytest.mark.parametrize("args", [(5.5, 3, 10), (5.0, 3, 10), (5, 3.0, 10), (5, 3, 10.0)])
+    def test_rejects_floats(self, args):
+        # 5.5 would run as q = 5, and a float scale would give a float mantissa
+        with pytest.raises(TypeError):
+            arctan_recip_fixed(*args)
 
 
 class TestComputePi:

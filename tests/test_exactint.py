@@ -349,6 +349,19 @@ class TestDigitHelpers:
                 assert int(m, 16) == int(text)
             assert back
 
+    @pytest.mark.parametrize("call", [
+        lambda: log10_approx(2.5),  # int() would give log10(2)
+        lambda: to_decimal_string(5.7),  # "5"
+        lambda: decimal_digits(9.99),  # 1
+        lambda: exceeds_digits(99.5, 1),
+        lambda: log10_approx(100.0),
+        lambda: to_decimal_string(-3.0),
+    ], ids=["log10_approx", "to_decimal_string", "decimal_digits", "exceeds_digits",
+            "log10_approx-integral", "to_decimal_string-integral"])
+    def test_floats_raise_type_error(self, call):
+        with pytest.raises(TypeError):
+            call()
+
     def test_library_never_sets_int_str_limit(self):
         sources = sorted(Path(machin.__file__).parent.glob("*.py"))
         assert sources

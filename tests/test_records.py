@@ -2,7 +2,8 @@
 
 Also checks that importing the package leaves the heavy standard-library
 modules (dataclasses and the inspect/ast it loads, argparse, fractions,
-re) unloaded, since every CLI call and every pi worker pays for them.
+re) unloaded, since every CLI call and every pi worker pays for them, and
+that computing pi never loads fractions.
 """
 import os
 import pickle
@@ -132,7 +133,7 @@ class TestRecord:
 @pytest.mark.parametrize("make", [
     lambda: generate(20),  # terms of more than 4300 digits
     lambda: fold_formula(generate(14)),
-    lambda: plan_budget(generate(5), 5000),  # Fraction(1, 10**5000)
+    lambda: plan_budget(generate(5), 5000),  # Ratio(1, 10**5000)
 ])
 def test_repr_of_big_records(make):
     # under the default int/str limit, where the named tuple's repr raises
@@ -162,11 +163,27 @@ NOT_INTEGERS = [
     .final_remainder._replace(delta=1.0),
 ]
 
+NOT_BOOLS = [
+    lambda: GenerationConfig(partial="no"),
+    lambda: GenerationConfig(partial=0),
+    lambda: MachinFormula(5, generate(5).terms, "no"),
+    lambda: MachinFormula(5, generate(5).terms, 1),
+    lambda: PARTIAL._replace(complete=None),
+]
+
 
 @pytest.mark.parametrize("make", NOT_INTEGERS, ids=[
     "generate", "find_first_term", "FormulaTerm-q", "FormulaTerm-sign", "RemainderState",
     "Ratio", "MachinFormula", "GenerationConfig", "rebuilt-remainder-delta"])
 def test_integer_fields_reject_floats(make):
+    with pytest.raises(TypeError):
+        make()
+
+
+@pytest.mark.parametrize("make", NOT_BOOLS, ids=[
+    "partial-str", "partial-int", "complete-str", "complete-int", "rebuilt-complete"])
+def test_boolean_fields_reject_other_values(make):
+    # "no" is truthy: taken as a bool it would flip the run or the formula
     with pytest.raises(TypeError):
         make()
 
@@ -207,7 +224,8 @@ def test_records_are_tuples():
     assert (num, den) == (3, 4)
     assert Ratio(3, 4) == (3, 4)
     budget = plan_budget(MACHIN, 30)
-    assert budget.epsilon == Fraction(1, 10 ** 30)
+    assert type(budget.epsilon) is Ratio
+    assert Fraction(*budget.epsilon) == Fraction(1, 10 ** 30)
     assert isinstance(budget.maclaurin_lengths, tuple)
 
 
@@ -218,6 +236,9 @@ import machin
 print(*[name for name in heavy if name in sys.modules])
 import machin.cli
 print(*[name for name in heavy if name in sys.modules])
+machin.compute_pi(machin.generate(5), 50)
+repr(machin.plan_budget(machin.generate(5), 5000))
+print("fractions" in sys.modules)
 """
 
 
@@ -230,4 +251,4 @@ def test_import_leaves_heavy_modules_unloaded():
         capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split("\n") == ["", "", ""]
+    assert proc.stdout.split("\n") == ["", "", "False", ""]
