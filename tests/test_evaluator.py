@@ -1,13 +1,17 @@
+import functools
 import json
 import math
+import os
 import subprocess
 import sys
+import threading
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from machin import evaluator
 from machin.errors import PrecisionUnachievableError
 from machin.evaluator import _series_length, arctan_recip_fixed, compute_pi, plan_budget
 from machin.generator import FormulaTerm, GenerationConfig, generate
@@ -33,6 +37,13 @@ def plain_series_length(q, bound):
         K += 1
         power *= q * q
     return K
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 # 4*arctan(1/5) + arctan(1/10^30) with the remainder its fold leaves: the
@@ -271,3 +282,131 @@ class TestComputePi:
         assert a == b
         assert len(a) == 4402 and a.startswith("3.14159265358979")
         assert limit == 4300
+
+
+FORK_WORK = evaluator._FORK_WORK
+
+
+@functools.lru_cache(maxsize=None)
+def pi_text(digits):
+    return compute_pi(generate(5), digits)
+
+
+@functools.lru_cache(maxsize=None)
+def split_formula(q0):
+    """Complete for q0 < 100, else partial with terms for 6000 digits."""
+    if q0 < 100:
+        return generate(q0)
+    return generate(q0, GenerationConfig(partial=True, max_digits=6030))
+
+
+class TestForkedSeries:
+    """compute_pi's split of the kept series across forked children.
+
+    _FORK_WORK = 0 forks whenever the other conditions hold, infinity
+    never; _usable_cpus is pinned so the split does not depend on the host.
+    """
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """The os.fork calls made, with three usable CPUs and no threshold."""
+        calls = []
+        fork = os.fork
+
+        def counted():
+            calls.append(None)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counted)
+        monkeypatch.setattr(evaluator, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(evaluator, "_FORK_WORK", 0)
+        return calls
+
+    @staticmethod
+    def run(monkeypatch, formula, digits, work):
+        """compute_pi's text and every raw series sum it took, at threshold `work`."""
+        monkeypatch.setattr(evaluator, "_FORK_WORK", work)
+        sums = []
+        arctan_sum = evaluator._arctan_sum
+
+        def recorded(kept, scale):
+            sums.append(arctan_sum(kept, scale))
+            return sums[-1]
+
+        monkeypatch.setattr(evaluator, "_arctan_sum", recorded)
+        text = compute_pi(formula, digits)
+        monkeypatch.setattr(evaluator, "_arctan_sum", arctan_sum)
+        return text, sums
+
+    @pytest.mark.parametrize("digits", [1700, 3000, 6000])
+    @pytest.mark.parametrize("q0", [5, 10, 20, 100, 327, 880, 100000])
+    def test_forked_equals_serial(self, forks, monkeypatch, q0, digits):
+        formula = split_formula(q0)
+        forked = self.run(monkeypatch, formula, digits, 0)
+        assert forks
+        calls = len(forks)
+        assert self.run(monkeypatch, formula, digits, math.inf) == forked
+        assert len(forks) == calls
+        assert forked[0] == pi_text(digits)
+
+    def test_failed_fork_sums_here(self, forks, monkeypatch):
+        def fail():
+            forks.append(None)
+            raise OSError("fork refused")
+
+        monkeypatch.setattr(os, "fork", fail)
+        assert compute_pi(generate(10), 1700) == pi_text(1700)
+        assert forks
+
+    def test_failed_child_is_recomputed(self, forks, monkeypatch):
+        fork = os.fork
+
+        def failing_child():
+            forks.append(None)
+            pid = fork()
+            if pid == 0:
+                os._exit(3)
+            return pid
+
+        monkeypatch.setattr(os, "fork", failing_child)
+        assert compute_pi(generate(10), 1700) == pi_text(1700)
+        assert forks
+
+    def test_interrupt_kills_and_reaps_the_children(self, forks, monkeypatch):
+        parent = os.getpid()
+        series = evaluator.arctan_recip_fixed
+
+        def interrupted(q, K, scale):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            return series(q, K, scale)
+
+        monkeypatch.setattr(evaluator, "arctan_recip_fixed", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            compute_pi(generate(10), 1700)
+        assert forks  # no_child_left checks they were reaped
+
+    def test_one_cpu_does_not_fork(self, forks, monkeypatch):
+        monkeypatch.setattr(evaluator, "_usable_cpus", lambda: 1)
+        assert compute_pi(generate(10), 1700) == pi_text(1700)
+        assert not forks
+
+    def test_live_thread_prevents_fork(self, forks):
+        done = threading.Event()
+        thread = threading.Thread(target=done.wait, args=(60,))
+        thread.start()
+        try:
+            text = compute_pi(generate(10), 1700)
+        finally:
+            done.set()
+            thread.join(60)
+        assert not thread.is_alive()
+        assert text == pi_text(1700)
+        assert not forks
+
+    def test_substrate_check_runs_forked(self, forks, monkeypatch):
+        # tests/test_substrate.py's compute_pi(generate(20), 5000) is above
+        # the threshold, so the gmpy2 stand-in runs the forked path
+        monkeypatch.setattr(evaluator, "_FORK_WORK", FORK_WORK)
+        compute_pi(generate(20), 5000)
+        assert forks
