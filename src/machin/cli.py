@@ -34,7 +34,7 @@ from .errors import (
 from .evaluator import compute_pi
 from .exactint import exceeds_digits, from_decimal_string, log10_approx, to_decimal_string
 from .exactint import decimal_digits  # noqa: F401  not called; perfbench/tracing.py patches this name
-from .generator import FormulaTerm, GenerationConfig, MachinFormula, RemainderState, generate
+from .generator import MODES, FormulaTerm, GenerationConfig, MachinFormula, RemainderState, generate
 from .measure import LehmerResult, lehmer_measure
 from .verify import check_identity, float_sanity
 
@@ -66,6 +66,8 @@ EXIT_PARTIAL_NOT_VERIFIABLE = 6
 # headroom over --digits when generating a formula just to evaluate pi;
 # covers the evaluator's internal retries with room to spare
 _PI_DIGIT_MARGIN = 30
+# widest integer, in digits, that the text listing prints in full
+_DISPLAY_DIGIT_LIMIT = 200
 
 
 # deletes every lowercase hex digit, so nothing is left of a valid body
@@ -134,10 +136,6 @@ def document_to_formula(doc) -> MachinFormula:
     try:
         q0 = parse(doc["q0"])
         m = parse(doc["m"])
-        complete = doc["complete"]
-        if not isinstance(complete, bool):
-            raise ValueError("complete must be a JSON boolean")
-        mode = doc.get("mode", "signed")
         terms = [FormulaTerm(sign=1, q=q0, coefficient=m)]
         for entry in doc["terms"]:
             terms.append(FormulaTerm(sign=_parse_sign(entry["sign"]), q=parse(entry["q"])))
@@ -145,10 +143,10 @@ def document_to_formula(doc) -> MachinFormula:
         if "final_remainder" in doc:
             entry = doc["final_remainder"]
             rem = RemainderState(parse(entry["A"]), parse(entry["B"]), _parse_sign(entry["delta"]))
-    except (KeyError, TypeError, AttributeError) as exc:  # missing keys, non-string values
+        return MachinFormula(q0=q0, terms=tuple(terms), complete=doc["complete"],
+                             final_remainder=rem, mode=doc.get("mode", "signed"))
+    except (KeyError, TypeError, AttributeError) as exc:  # missing keys, non-strings, non-bools
         raise ValueError(f"malformed formula document: {exc}") from exc
-    return MachinFormula(q0=q0, terms=tuple(terms), complete=complete,
-                         final_remainder=rem, mode=mode)
 
 
 def _q_display(q, digit_limit: int) -> str:
@@ -158,7 +156,7 @@ def _q_display(q, digit_limit: int) -> str:
 
 
 def render_text(formula: MachinFormula, lehmer: LehmerResult, sanity: float,
-                digit_limit: int = 200) -> str:
+                digit_limit: int = _DISPLAY_DIGIT_LIMIT) -> str:
     lines = [f"M {formula.terms[0].coefficient} {_q_display(formula.q0, digit_limit)}"]
     for term in formula.terms[1:]:
         glyph = "(+)" if term.sign > 0 else "(-)"
@@ -265,13 +263,15 @@ def _build_parser():
 
     gen = sub.add_parser("generate", help="build the identity for a starting denominator")
     gen.add_argument("q0", type=q0_int, help="starting denominator (integer >= 2)")
-    gen.add_argument("--mode", choices=["signed", "positive"], default="signed")
+    defaults = GenerationConfig()
+    gen.add_argument("--mode", choices=MODES, default=defaults.mode)
     gen.add_argument("--partial", action="store_true",
                      help="keep a truncated series when terms outgrow --max-digits")
-    gen.add_argument("--max-digits", type=positive_int, default=1_000_000, metavar="N",
-                     help="digit budget per term denominator (default 1000000)")
-    gen.add_argument("--display-digit-limit", type=positive_int, default=200, metavar="N",
-                     help="print lg Q instead of integers wider than N digits (default 200)")
+    gen.add_argument("--max-digits", type=positive_int, default=defaults.max_digits, metavar="N",
+                     help="digit budget per term denominator (default %(default)s)")
+    gen.add_argument("--display-digit-limit", type=positive_int, metavar="N",
+                     default=_DISPLAY_DIGIT_LIMIT,
+                     help="print lg Q instead of integers wider than N digits (default %(default)s)")
     gen.add_argument("--format", choices=["text", "json"], default="text")
     gen.set_defaults(func=_cmd_generate)
 

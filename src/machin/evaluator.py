@@ -251,6 +251,7 @@ def compute_pi(formula, digits: int) -> str:
     and below _FORK_WORK, with one usable CPU, with a live thread or without
     os.fork, every series runs here.
     """
+    digits = index(digits)
     if digits < 1:
         raise ValueError("digits must be at least 1")
     target = digits + 2

@@ -12,10 +12,14 @@ interval straddles a rounding boundary of doubles does it fall back to
 50-digit ``decimal`` arithmetic.
 
 The codec is subquadratic without gmpy2 (divide-and-conquer radix
-conversion, Brent & Zimmermann, *Modern Computer Arithmetic*, §1.7) and
-never reads or changes the interpreter's int/str digit limit: the only
-built-in ``str()``/``int()`` conversions it makes are on pieces of at most
-640 digits, the lowest value that limit can take.
+conversion, Brent & Zimmermann, *Modern Computer Arithmetic*, §1.7). It
+pads its input to a leaf size k times a power of two, so every split halves
+a piece exactly and all the pieces of one level recombine with one power:
+the built-in ``**`` with exponent k at the lowest level, and above it the
+square of the power one level down. It never reads or changes the
+interpreter's int/str digit limit: the only built-in ``str()``/``int()``
+conversions it makes are on pieces of at most 640 digits, the lowest value
+that limit can take.
 """
 from __future__ import annotations
 
@@ -177,27 +181,13 @@ def _log10_head(head: int, shift: int) -> float:
         return low
     with localcontext() as ctx:
         ctx.prec = 50
-        if shift == 0:
-            return float(Decimal(head).log10())
+        # shift * _LOG10_2 is an exact zero when shift is 0
         return float(Decimal(head).log10() + shift * _LOG10_2)
-
-
-@lru_cache(maxsize=64)
-def _pow10(digits: int):
-    return bigint(10) ** digits
 
 
 def decimal_digits(x) -> int:
     """Exact number of decimal digits of |x| (zero counts as one digit)."""
-    n = abs(index(x))
-    if n == 0:
-        return 1
-    d = max(1, int(n.bit_length() / 3.321928094887362))
-    while _pow10(d) <= n:
-        d += 1
-    while d > 1 and _pow10(d - 1) > n:
-        d -= 1
-    return d
+    return len(to_decimal_string(abs(index(x))))
 
 
 def exceeds_digits(x, digits: int) -> bool:
@@ -213,31 +203,7 @@ def exceeds_digits(x, digits: int) -> bool:
     # 3.3219 < log2(10) < 3.32193, so these bounds are safe in both directions.
     if bits * 10000 <= digits * 33219:
         return False
-    if (bits - 1) * 100000 >= digits * 332193:
-        return True
-    return n >= _pow10(digits)
-
-
-def _powers(base):
-    """base**k on demand, each computed once from a cached neighbour."""
-    cache = {}
-
-    def power(k):
-        p = cache.get(k)
-        if p is None:
-            if k - 1 in cache:
-                p = cache[k - 1] * base
-            elif k <= 64:
-                p = base ** k
-            else:
-                half = power(k >> 1)
-                p = half * half
-                if k & 1:
-                    p *= base
-            cache[k] = p
-        return p
-
-    return power
+    return (bits - 1) * 100000 >= digits * 332193 or n >= bigint(10) ** digits
 
 
 def to_decimal_string(x) -> str:
@@ -250,20 +216,23 @@ def to_decimal_string(x) -> str:
     n = index(x)
     if HAVE_GMPY2:
         return bigint(n).digits(10)
-    sign = "-" if n < 0 else ""
-    n = abs(n)
-    if n.bit_length() <= _LEAF_BITS:
-        return sign + str(n)
-    pow2 = _powers(Decimal(2))
+    bits = n.bit_length()
+    if bits <= _LEAF_BITS:
+        return str(n)
+    # the width is padded to a leaf width k times 2**levels (see the module
+    # docstring); pow2[i] = 2**(k << i)
+    levels = ((bits - 1) // _LEAF_BITS).bit_length()
+    k = -(-bits >> levels)
 
-    def join(n, w):  # Decimal equal to n, where n < 2**w
-        if w <= _LEAF_BITS:
+    def join(n, i):  # Decimal equal to n < 2**(2*w) with w = k << i; i = -1 at a leaf
+        if i < 0:
             return Decimal(n)
-        lo = w >> 1
-        return join(n & ((1 << lo) - 1), lo) + join(n >> lo, w - lo) * pow2(lo)
+        w = k << i
+        return join(n & ((1 << w) - 1), i - 1) + join(n >> w, i - 1) * pow2[i]
 
     with localcontext(_EXACT):
-        return sign + str(join(n, n.bit_length()))
+        pow2 = [p := Decimal(2) ** k] + [p := p * p for _ in range(levels - 1)]
+        return ("-" if n < 0 else "") + str(join(abs(n), levels - 1))
 
 
 def from_decimal_string(s: str) -> int:
@@ -272,8 +241,8 @@ def from_decimal_string(s: str) -> int:
     Accepts digits with an optional sign and surrounding whitespace, and
     rejects everything else (underscores, points, exponents, prefixes).
     Subquadratic and independent of the int/str digit limit: a long digit
-    string is split in halves and recombined as hi * 10**k + lo, with
-    10**k = 5**k << k.
+    string is split in halves and recombined as hi * 10**w + lo, with
+    10**w = 5**w << w.
     """
     text = s.strip()
     body = text[1:] if text[:1] in "+-" else text
@@ -281,13 +250,20 @@ def from_decimal_string(s: str) -> int:
         raise ValueError(f"not a decimal integer: {s!r}")
     if HAVE_GMPY2:
         return int(bigint(text))
-    pow5 = _powers(5)
+    if len(body) <= _LEAF_DIGITS:
+        return int(text)
+    # zeros pad the digits to a leaf length k times 2**levels (see the module
+    # docstring); pow5[i] = 5**(k << i)
+    levels = ((len(body) - 1) // _LEAF_DIGITS).bit_length()
+    k = -(-len(body) >> levels)
+    body = body.zfill(k << levels)
+    pow5 = [p := 5 ** k] + [p := p * p for _ in range(levels - 1)]
 
-    def split(a, b):  # value of body[a:b]
-        if b - a <= _LEAF_DIGITS:
-            return int(body[a:b])
-        k = (b - a) >> 1
-        return split(b - k, b) + (split(a, b - k) * pow5(k) << k)
+    def split(a, i):  # value of the 2*w digits from body[a], w = k << i; i = -1 at a leaf
+        if i < 0:
+            return int(body[a:a + k])
+        w = k << i
+        return split(a + w, i - 1) + (split(a, i - 1) * pow5[i] << w)
 
-    n = split(0, len(body))
+    n = split(0, levels - 1)
     return -n if text[:1] == "-" else n

@@ -122,6 +122,8 @@ class TestPlanBudget:
             plan_budget(generate(5), 10.0)
         with pytest.raises(TypeError):
             compute_pi(generate(5), 10.0)
+        with pytest.raises(TypeError):  # not "digits must be at least 1"
+            compute_pi(generate(5), 0.5)
 
     def test_partial_formula_without_remainder(self):
         f = generate(10, GenerationConfig(partial=True, max_digits=20))

@@ -285,9 +285,15 @@ class TestDigitHelpers:
         assert decimal_digits(n) == len(str(n))
 
     def test_decimal_digits_boundaries(self):
-        for k in (1, 2, 10, 100, 2000):
+        for k in (1, 2, 10, 100, 2000, 5000):
             assert decimal_digits(10 ** k - 1) == k
             assert decimal_digits(10 ** k) == k + 1
+            # at budget k both pass the bit-length prefilters and the exact comparison decides
+            assert not exceeds_digits(10 ** k - 1, k)
+            assert exceeds_digits(10 ** k, k)
+            if k > 1:
+                assert exceeds_digits(10 ** k - 1, k - 1)
+                assert exceeds_digits(10 ** k, k - 1)
 
     @given(n=st.integers(min_value=0, max_value=10 ** 60),
            budget=st.integers(min_value=1, max_value=70))
