@@ -12,20 +12,10 @@ scale with guard digits, every division floored. The final digit string is
 truncated only after checking that the rigorous error interval does not
 straddle the truncation boundary; if it does, the whole evaluation repeats
 with a finer budget.
-
-The kept series are independent, so compute_pi splits them across the
-usable CPUs: the caller sums one bin of terms and a forked child sums each
-other bin, sending its exact partial sum back over a pipe. The total, and
-so every printed digit, is the same as the serial sum's. There is no knob:
-the split happens only where os.fork exists, two or more CPUs are usable,
-no other thread is alive, two or more terms are kept and the work estimate
-reaches _FORK_WORK; otherwise the series run one after another here.
 """
 from __future__ import annotations
 
 import math
-import os
-import sys
 from collections import namedtuple
 from operator import index
 
@@ -104,8 +94,13 @@ def plan_budget(formula, digits: int) -> PrecisionBudget:
 def arctan_recip_fixed(q, K: int, scale: int) -> int:
     """Maclaurin value of arctan(1/q) with K+1 terms, as a mantissa at 10^-scale.
 
-    Every term is a floored division, so mantissa * 10^-scale differs from
-    the true arctangent by less than 1/((2K+3)*q^(2K+3)) + (K+1)*10^-scale.
+    The terms are floored two at a time: for k = 0, 2, 4, ... the pair
+    1/((2k+1)q^(2k+1)) - 1/((2k+3)q^(2k+3)) is the one positive fraction
+    ((2k+3)q^2 - (2k+1)) / ((2k+1)(2k+3)q^(2k+3)), and an even K ends on
+    term K alone. That is K//2 + 1 floored divisions, so the mantissa is at
+    most K//2 + 1 units of 10^-scale below the truncated series, and
+    mantissa * 10^-scale differs from the true arctangent by less than
+    1/((2K+3)*q^(2K+3)) + (K//2 + 1)*10^-scale.
     """
     q, K, scale = index(q), index(K), index(scale)
     if q < 2:
@@ -117,121 +112,14 @@ def arctan_recip_fixed(q, K: int, scale: int) -> int:
     q_sq = qb * qb
     power = qb  # q^(2k+1)
     mantissa = bigint(0)
-    for k in range(K + 1):
-        piece = base // ((2 * k + 1) * power)
-        mantissa = mantissa - piece if k & 1 else mantissa + piece
-        if k < K:
-            power *= q_sq
+    for k in range(0, K, 2):  # terms k and k+1 as one positive fraction
+        j = 2 * k + 1
+        power *= q_sq  # q^(2k+3)
+        mantissa += base * ((j + 2) * q_sq - j) // (j * (j + 2) * power)
+        power *= q_sq
+    if not K & 1:
+        mantissa += base // ((2 * K + 1) * power)
     return int(mantissa)
-
-
-# The work estimate, sum of (K+1) * scale^2 over the kept terms in digit^2
-# units (floored divisions times the squared width of what is divided), at
-# which a forked split starts to pay: measured in fresh interpreters running
-# mixed sizes (700 to 8000 digits), forked ops lost at 10^8.9..10^9.0 and won
-# at 10^9.0..10^9.1. Both this constant and the K+1 weights model the
-# current cubic series (each term a full-width division) and must be fitted
-# again when the series changes.
-_FORK_WORK = 10 ** 9
-
-
-def _usable_cpus():
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _series_sum(kept, scale):
-    return sum(term.sign * term.coefficient * arctan_recip_fixed(term.q, K, scale)
-               for term, K in kept)
-
-
-def _split(kept, scale):
-    """The kept terms in bins for one process each, longest first on K+1.
-
-    One bin unless os.fork exists, no other thread is alive, two CPUs are
-    usable, two terms are kept and the work reaches _FORK_WORK.
-    """
-    threading = sys.modules.get("threading")
-    if (not hasattr(os, "fork") or len(kept) < 2
-            or threading is not None and threading.active_count() > 1
-            or sum(K + 1 for _, K in kept) * scale * scale < _FORK_WORK):
-        return [kept]
-    bins = [[] for _ in range(min(_usable_cpus(), len(kept)))]
-    loads = [0] * len(bins)
-    for term, K in sorted(kept, key=lambda pair: -pair[1]):
-        i = loads.index(min(loads))
-        bins[i].append((term, K))
-        loads[i] += K + 1
-    return bins
-
-
-def _spawn(part, scale):
-    """(pid, pipe) of a child writing part's exact sum, or None if fork fails."""
-    try:
-        r, w = os.pipe()
-    except OSError:
-        return None
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(r)
-        os.close(w)
-        return None
-    if pid == 0:  # the child: it leaves only through os._exit
-        code = 1
-        try:
-            os.close(r)
-            value = int(_series_sum(part, scale))
-            with open(w, "wb") as pipe:
-                pipe.write(value.to_bytes(value.bit_length() // 8 + 1, "little", signed=True))
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(w)
-    return pid, open(r, "rb")
-
-
-def _arctan_sum(kept, scale):
-    """Σ sign * coefficient * arctan_recip_fixed(q, K, scale) over kept.
-
-    All bins but the first run in forked children, which send their exact
-    partial sums back over pipes; the caller sums the first bin. A bin whose
-    child cannot start or does not exit 0 is summed here instead, and if
-    anything raises here, every child is killed and reaped first.
-    """
-    own, *others = _split(kept, scale)
-    children = []
-    try:
-        for part in others:
-            child = _spawn(part, scale)
-            if child is None:
-                own += part
-            else:
-                children.append((*child, part))
-        total = _series_sum(own, scale)
-        while children:
-            pid, pipe, part = children[-1]
-            data = pipe.read()
-            pipe.close()
-            status = os.waitpid(pid, 0)[1]
-            children.pop()
-            if status == 0:
-                total += int.from_bytes(data, "little", signed=True)
-            else:
-                total += _series_sum(part, scale)
-        return total
-    except BaseException:
-        from signal import SIGKILL  # not loaded at start, so only on this path
-        for pid, pipe, _ in children:
-            pipe.close()
-            try:
-                os.kill(pid, SIGKILL)
-                os.waitpid(pid, 0)
-            except OSError:  # reaped just before the exception, not yet popped
-                pass
-        raise
 
 
 def compute_pi(formula, digits: int) -> str:
@@ -243,13 +131,8 @@ def compute_pi(formula, digits: int) -> str:
     rigorous error interval. When the interval straddles a truncation
     boundary, the budget is tightened and evaluation repeats. The interval
     is a little over 0.08 units of the last printed digit wide, so about
-    one request in twelve repeats (256 of 3000 seeded requests, q0 in
+    one request in twelve repeats (245 of 3000 seeded requests, q0 in
     [100, 880], 50 to 1500 digits).
-
-    The series sum is split across forked children when that pays (see the
-    module docstring and _FORK_WORK): the output is identical either way,
-    and below _FORK_WORK, with one usable CPU, with a live thread or without
-    os.fork, every series runs here.
     """
     digits = index(digits)
     if digits < 1:
@@ -263,9 +146,10 @@ def compute_pi(formula, digits: int) -> str:
                 f"partial formula is too short to bound the tail for 10^-{digits} accuracy"
             ) from exc
         kept = tuple(zip(formula.terms, budget.maclaurin_lengths))
-        floor_ops = sum(term.coefficient * (K + 1) for term, K in kept)
+        floor_ops = sum(term.coefficient * (K // 2 + 1) for term, K in kept)
         scale = target + 10 + len(str(floor_ops))
-        value = 4 * _arctan_sum(kept, scale)
+        value = 4 * sum(term.sign * term.coefficient * arctan_recip_fixed(term.q, K, scale)
+                        for term, K in kept)
         # 4x the budgeted series error plus 4x one floored ulp per division
         half_width = 4 * floor_ops + 4 * 10 ** (scale - target)
         cell = 10 ** (scale - digits)

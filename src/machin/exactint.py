@@ -50,6 +50,8 @@ _LOG10_2_Q128 = 0x4D104D427DE7FBCC47C4ACD605BE48BC
 _LN10_Q128 = 0x24D763776AAA2B05BA95B58AE0B4C28A4
 # bounds the error of _log10_head's series (under 112 units of 2^-128)
 _SERIES_ERR = 128
+# _log10_head's fallback context, whatever traps and precision the caller set
+_FALLBACK = Context(prec=50)
 
 # Largest pieces the codec hands to the built-in str()/int(): 2**2126 < 10**640,
 # and 640 digits is the lowest int/str limit an interpreter accepts.
@@ -179,8 +181,7 @@ def _log10_head(head: int, shift: int) -> float:
     low = (y - err) / (1 << 128)  # int / int is correctly rounded
     if low == (y + err) / (1 << 128):
         return low
-    with localcontext() as ctx:
-        ctx.prec = 50
+    with localcontext(_FALLBACK):
         # shift * _LOG10_2 is an exact zero when shift is 0
         return float(Decimal(head).log10() + shift * _LOG10_2)
 

@@ -3,7 +3,7 @@ import math
 import random
 import subprocess
 import sys
-from decimal import Decimal, localcontext
+from decimal import Decimal, Inexact, localcontext
 from fractions import Fraction
 from pathlib import Path
 
@@ -269,14 +269,25 @@ class TestLog10:
         monkeypatch.setattr(exactint, "_SERIES_ERR", 1 << 400)
         contexts = []
 
-        def counted_localcontext():
+        def counted_localcontext(ctx):
             contexts.append(x)
-            return localcontext()
+            return localcontext(ctx)
 
         monkeypatch.setattr(exactint, "localcontext", counted_localcontext)
         head, shift = head_and_shift(x)
         assert exactint._log10_head.__wrapped__(head, shift) == decimal_log10(head, shift)
         assert contexts == [x]
+
+    @pytest.mark.parametrize("x", [3, 10 ** 19 + 1, 3 ** 200])
+    def test_decimal_fallback_ignores_the_callers_traps(self, monkeypatch, x):
+        monkeypatch.setattr(exactint, "_SERIES_ERR", 1 << 400)
+        head, shift = head_and_shift(x)
+        expected = exactint._log10_head.__wrapped__(head, shift)
+        with localcontext() as ctx:
+            ctx.traps[Inexact] = True
+            ctx.prec = 5
+            assert exactint._log10_head.__wrapped__(head, shift) == expected
+        assert expected == decimal_log10(head, shift)
 
 
 class TestDigitHelpers:
