@@ -2,7 +2,9 @@
 
 gmpy2's mpz (GMP) keeps multi-million-digit multiplication and division
 sub-quadratic, which matters for deep generation runs. Plain Python ints
-are a drop-in fallback, just slower at extreme sizes.
+are a drop-in fallback, just slower at extreme sizes: their long divisions
+go through exactint.big_divmod, which is subquadratic, but their
+multiplication is still Karatsuba.
 """
 
 try:

@@ -8,7 +8,8 @@ comparison; a floating-point estimate only proposes each K, and exact
 comparisons confirm it.
 
 Evaluation runs in fixed point: integer mantissas at a common power-of-ten
-scale with guard digits, every division floored. The final digit string is
+scale with guard digits, every division floored (through
+exactint.big_divmod, subquadratic at long widths). The final digit string is
 truncated only after checking that the rigorous error interval does not
 straddle the truncation boundary; if it does, the whole evaluation repeats
 with a finer budget.
@@ -21,7 +22,7 @@ from operator import index
 
 from ._bigint import bigint
 from .errors import PrecisionUnachievableError
-from .exactint import Ratio, Record, log10_approx, to_decimal_string
+from .exactint import Ratio, Record, big_divmod, log10_approx, to_decimal_string
 
 __all__ = [
     "PrecisionBudget",
@@ -115,10 +116,10 @@ def arctan_recip_fixed(q, K: int, scale: int) -> int:
     for k in range(0, K, 2):  # terms k and k+1 as one positive fraction
         j = 2 * k + 1
         power *= q_sq  # q^(2k+3)
-        mantissa += base * ((j + 2) * q_sq - j) // (j * (j + 2) * power)
+        mantissa += big_divmod(base * ((j + 2) * q_sq - j), j * (j + 2) * power)[0]
         power *= q_sq
     if not K & 1:
-        mantissa += base // ((2 * K + 1) * power)
+        mantissa += big_divmod(base, (2 * K + 1) * power)[0]
     return int(mantissa)
 
 

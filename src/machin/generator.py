@@ -18,7 +18,8 @@ that ``verify`` folds in, and every step multiplies it by (q - delta*i):
 ``exactint.remainder_power`` for the first term, ``exactint.remainder_step``
 for the walk and each later term. Deep in a run, where A is short next to
 q, the step trades the big-by-big q*B for a squaring of q; ``exactint``
-says when.
+says when. Each pick divides B by A through ``exactint.big_divmod``, which
+is subquadratic once A and q are both long.
 """
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ from operator import index
 
 from ._bigint import bigint
 from .errors import GenerationCutoffError
-from .exactint import Record, exceeds_digits, remainder_power, remainder_step
+from .exactint import Record, big_divmod, exceeds_digits, remainder_power, remainder_step
 
 __all__ = [
     "FormulaTerm",
@@ -175,13 +176,13 @@ def find_first_term(q0):
 
 def _pick_signed(A, B):
     """Nearest integer q to B/A (halves round up), and whether q*A == B."""
-    q, r = divmod(2 * B + A, 2 * A)
+    q, r = big_divmod(2 * B + A, 2 * A)
     return q, r == A  # q*A - B == (A - r) / 2
 
 
 def _pick_positive(A, B):
     """Ceiling q of B/A, and whether q*A == B."""
-    q, r = divmod(-B, A)
+    q, r = big_divmod(-B, A)
     return -q, r == 0  # q*A - B == r
 
 

@@ -13,8 +13,10 @@ from hypothesis import strategies as st
 
 import machin
 from machin import exactint
+from machin.evaluator import compute_pi
 from machin.exactint import (
     Ratio,
+    big_divmod,
     decimal_digits,
     exceeds_digits,
     from_decimal_string,
@@ -23,15 +25,39 @@ from machin.exactint import (
     remainder_step,
     to_decimal_string,
 )
-from machin.generator import _pick_positive, _pick_signed
+from machin.generator import GenerationConfig, _pick_positive, _pick_signed, generate
+from machin.verify import fold_formula
 
 from intstr import unlimited_int_str
 from reference_runs import REFERENCE_RUNS
 
 LOG10_2 = Decimal("0.30102999566398119521373889472449302676818988146210854131")
 
-nums = st.integers(min_value=-(10 ** 40), max_value=10 ** 40)
-dens = st.integers(min_value=1, max_value=10 ** 20)
+# bit sizes on both sides of big_divmod's cut-offs (a divisor over 9000 bits
+# and a quotient over 4500) and of its recursion's base case (a divisor of
+# 18000 or 18001 bits halves to 9000)
+divisor_bits = st.one_of(
+    st.integers(min_value=1, max_value=40_000),
+    st.sampled_from([8999, 9000, 9001, 9002, 17999, 18000, 18001, 18002, 18003, 36001]),
+)
+quotient_bits = st.one_of(
+    st.integers(min_value=-20, max_value=40_000),
+    st.sampled_from([4499, 4500, 4501, 4502, 9000, 9001]),
+)
+
+
+@st.composite
+def long_ints(draw, bits):
+    """A random integer of exactly `bits` bits (drawn from a strategy)."""
+    n = draw(bits)
+    return random.Random(draw(st.integers(0, 2 ** 32))).getrandbits(n) | (1 << (n - 1))
+
+
+nums = st.one_of(
+    st.integers(min_value=-(10 ** 40), max_value=10 ** 40),
+    st.builds(lambda n, sign: sign * n, long_ints(st.integers(1, 60_000)), st.sampled_from([-1, 1])),
+)
+dens = st.one_of(st.integers(min_value=1, max_value=10 ** 20), long_ints(divisor_bits))
 
 # bit sizes on both sides of the codec's leaves (2126 bits, 640 digits),
 # of 2000/8000 and of the default 4300-digit int/str limit (14284 bits)
@@ -130,6 +156,7 @@ class TestDivision:
         assert _pick_signed(2, -7) == (-3, False)  # -3.5 ties up (toward +inf)
 
     @given(num=nums, den=dens)
+    @example(num=-(3 ** 20_000), den=5 ** 5000)  # 31.7k bits by 11.6k: the recursive path
     def test_floor_ceil_bracket(self, num, den):
         hi, exact = _pick_positive(den, num)
         assert exact == (num % den == 0)
@@ -138,6 +165,7 @@ class TestDivision:
         assert (hi - 1) * den < num
 
     @given(num=nums, den=dens)
+    @example(num=3 ** 20_000, den=5 ** 5000)
     def test_nearest_within_half(self, num, den):
         r, exact = _pick_signed(den, num)
         assert 2 * abs(r * den - num) <= den
@@ -153,6 +181,127 @@ class TestDivision:
         else:
             expected = hi  # includes the exact-half tie
         assert _pick_signed(den, num)[0] == expected
+
+
+@st.composite
+def division_operands(draw):
+    """(a, b) of every sign, with |b| and |a| // |b| on both sides of the cut-offs.
+
+    Besides random values: exact multiples, and dividends just below
+    b << k, whose quotient is all ones (with k = n the 3h-by-2h estimates
+    hit their cap); divisors that are a power of two or all ones, and one
+    with its top bit and its low half set, whose estimates are often 2 high.
+    """
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    n, k = draw(divisor_bits), draw(quotient_bits)
+    b = draw(st.sampled_from([
+        rng.getrandbits(n) | (1 << (n - 1)), 1 << (n - 1), (1 << n) - 1,
+        (1 << (n - 1)) | ((1 << (n // 2 + 1)) - 1)]))
+    kind = draw(st.sampled_from(["random", "multiple", "below_top"]))
+    if kind == "random":
+        a = rng.getrandbits(max(n + k, 0))
+    elif kind == "multiple":
+        a = b * rng.getrandbits(max(k, 0))
+    else:
+        k = draw(st.sampled_from([max(k, 0), n]))
+        a = max((b << k) - rng.getrandbits(draw(st.integers(0, n + 2))), 0)
+    return a * draw(st.sampled_from([-1, 1])), b * draw(st.sampled_from([-1, 1]))
+
+
+class TestBigDivmod:
+    """big_divmod is the built-in divmod, whichever path it takes."""
+
+    @given(division_operands())
+    @example((3 ** 20_000, 5 ** 5000))
+    @example((-(3 ** 20_000), 5 ** 5000))  # _pick_positive's divmod(-B, A)
+    @example((3 ** 20_000, -(5 ** 5000)))
+    @example((-(3 ** 20_000), -(5 ** 5000)))
+    @example((7 ** 10_000 * 11 ** 4000, 7 ** 10_000))  # exact multiple
+    @example((-(7 ** 10_000 * 11 ** 4000), 7 ** 10_000))
+    @example((5 ** 5000, 3 ** 20_000))  # a < b
+    @example((-(5 ** 5000), 3 ** 20_000))
+    @example((3 ** 20_000, 1))
+    @example((0, 3 ** 20_000))
+    @example(((1 << 18_003) - 1, (1 << 9001) | ((1 << 4502) - 1)))  # an estimate 2 high
+    @example(((((1 << 9001) + 3 ** 5000) << 9002) - 1, (1 << 9001) + 3 ** 5000))  # at the cap
+    def test_matches_builtin(self, args):
+        a, b = args
+        q, r = big_divmod(a, b)
+        assert (q, r) == divmod(a, b)
+        assert type(q) is int and type(r) is int
+
+    @pytest.mark.parametrize("sa, sb", [(1, 1), (-1, 1), (1, -1), (-1, -1)])
+    def test_lopsided(self, sa, sb):
+        # a 1M-bit dividend by a 10k-bit divisor: the dividend is cut in halves
+        rng = random.Random(1)
+        a = rng.getrandbits(1_000_000) | (1 << 999_999)
+        b = rng.getrandbits(10_000) | (1 << 9_999)
+        assert big_divmod(sa * a, sb * b) == divmod(sa * a, sb * b)
+
+    def test_zero_divisor_raises(self):
+        with pytest.raises(ZeroDivisionError):
+            big_divmod(3 ** 20_000, 0)
+
+    @pytest.mark.parametrize("b_bits, q_bits, recursive", [
+        (9001, 4501, True), (9000, 4501, False), (9001, 4500, False), (40_000, 100, False)])
+    def test_cut_offs(self, monkeypatch, b_bits, q_bits, recursive):
+        # recursive once the divisor has over 9000 bits and a // b over 4500
+        calls = count_recursive(monkeypatch)
+        b = 1 << (b_bits - 1)
+        big_divmod((b << q_bits) + 12345, b)
+        assert bool(calls) == recursive
+
+
+def count_recursive(monkeypatch):
+    """Divisor sizes of the calls to the recursive path, its own included."""
+    calls, inner = [], exactint._bz_divmod
+
+    def counted(a, b):
+        calls.append(b.bit_length())
+        return inner(a, b)
+
+    monkeypatch.setattr(exactint, "_bz_divmod", counted)
+    return calls
+
+
+class TestDivisionScope:
+    """Which library divisions are long enough for the recursive path.
+
+    The pi series at 8000 digits and a partial run's late picks take it; the
+    pi series at the benchmark's 2828-digit level and complete runs with
+    their folds for q0 in [8, 20] never do. Each output equals the one the
+    built-in divmod gives (the cut-off raised out of reach).
+    """
+
+    def test_pi_8000_digits_takes_it(self, monkeypatch):
+        formula = generate(327, GenerationConfig(partial=True, max_digits=8030))
+        calls = count_recursive(monkeypatch)
+        text = compute_pi(formula, 8000)
+        assert calls
+        monkeypatch.setattr(exactint, "_DIV_BITS", 1 << 62)
+        assert compute_pi(formula, 8000) == text
+
+    def test_partial_run_takes_it(self, monkeypatch):
+        config = GenerationConfig(partial=True, max_digits=3000)
+        calls = count_recursive(monkeypatch)
+        formula = generate(100000, config)
+        assert calls
+        monkeypatch.setattr(exactint, "_DIV_BITS", 1 << 62)
+        assert generate(100000, config) == formula
+
+    @pytest.mark.parametrize("q0", [100, 327, 880])
+    def test_pi_2828_digit_level_never(self, monkeypatch, q0):
+        digits = 2885  # the level's largest request: 2828 digits + 2%
+        formula = generate(q0, GenerationConfig(partial=True, max_digits=digits + 30))
+        calls = count_recursive(monkeypatch)
+        compute_pi(formula, digits)
+        assert calls == []
+
+    def test_complete_runs_and_folds_never(self, monkeypatch):
+        calls = count_recursive(monkeypatch)
+        for q0 in range(8, 21):
+            fold_formula(generate(q0))
+        assert calls == []
 
 
 class TestRemainderStep:
@@ -184,6 +333,15 @@ class TestRemainderStep:
         for _ in range(m):
             x, y = remainder_step(x, y, q, 1)
         assert remainder_power(q, m) == (x, y)
+
+    def test_power_zero_is_the_start(self):
+        assert remainder_power(5, 0) == (1, 1)
+
+    @pytest.mark.parametrize("m", [-1, -2, -(10 ** 30)])
+    def test_negative_power_raises(self, m):
+        # bin(-1)[2:] is "b1", which once gave (6, 4)
+        with pytest.raises(ValueError):
+            remainder_power(5, m)
 
 
 class TestLog10:
@@ -373,8 +531,9 @@ class TestDigitHelpers:
         lambda: exceeds_digits(99.5, 1),
         lambda: log10_approx(100.0),
         lambda: to_decimal_string(-3.0),
+        lambda: exceeds_digits(10 ** 5, 4.5),  # the budget, not the value
     ], ids=["log10_approx", "to_decimal_string", "decimal_digits", "exceeds_digits",
-            "log10_approx-integral", "to_decimal_string-integral"])
+            "log10_approx-integral", "to_decimal_string-integral", "exceeds_digits-budget"])
     def test_floats_raise_type_error(self, call):
         with pytest.raises(TypeError):
             call()

@@ -40,9 +40,11 @@ def digest(text):
 
 complete = generate(20)
 partial = generate(1000, GenerationConfig(partial=True, max_digits=400))
+# late picks with long quotients: plain ints divide them recursively
+long_partial = generate(100000, GenerationConfig(partial=True, max_digits=3000))
 ratio = fold_formula(complete)
-records = [complete, partial, ratio]
-out = {"have_gmpy2": HAVE_GMPY2, "fold": digest(repr(ratio))}
+records = [complete, partial, long_partial, ratio]
+out = {"have_gmpy2": HAVE_GMPY2, "fold": digest(repr(ratio)), "long": digest(repr(long_partial))}
 for name, formula in (("complete", complete), ("partial", partial)):
     text = json.dumps(formula_to_document(formula, lehmer_measure(formula)))
     back = document_to_formula(json.loads(text))
